@@ -2,11 +2,9 @@
 
 from bcgames import (
     enumerate_trees,
-    metrics,
     parse_tree,
     serialize_tree,
     subtree,
-    successors,
     validate_tree,
     zero_free_transform,
 )
@@ -15,8 +13,8 @@ from bcgames.trees import MissingPrefix, TooManySuccessors
 # Nodes are tuples of naturals; the empty tuple is the root.
 tree = validate_tree([(), (1,), (2,), (1, 3)])
 print("nodes:", sorted(tree.nodes))
-print("successors of the root:", successors(tree, ()))
-print("size, height =", metrics(tree))
+print("successors of the root:", tree.children(()))
+print("size, height =", (tree.size, tree.height))
 print("subtree below (1,):", sorted(subtree(tree, (1,)).nodes))
 
 # Both defining clauses are enforced, naming the first offender.

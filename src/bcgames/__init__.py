@@ -31,7 +31,6 @@ from .reduction import (
     decode,
     extract_branch,
     solve_reduction,
-    terminal_winner,
     verify_winning_policy,
 )
 from .solver import (
@@ -60,11 +59,9 @@ from .strategy import (
 from .trees import (
     FiniteTree,
     enumerate_trees,
-    metrics,
     parse_tree,
     serialize_tree,
     subtree,
-    successors,
     validate_tree,
     zero_free_transform,
 )

@@ -22,12 +22,6 @@ class EmbeddingError(Exception):
     pass
 
 
-class PrefixNotInSource(EmbeddingError):
-    def __init__(self, prefix: Seq):
-        self.prefix = prefix
-        super().__init__(f"payoff entry {prefix!r} is not a node of the source tree")
-
-
 @dataclass(frozen=True)
 class RhoMap:
     source: FiniteTree
@@ -53,13 +47,12 @@ def build_rho(tree: FiniteTree) -> RhoMap:
 
 def push_payoff(rho: RhoMap, payoff: ClopenAntichain) -> ClopenAntichain:
     """Transport each entry prefix through the embedding; the default and
-    the exit penalty semantics carry over unchanged."""
-    entries = []
-    for prefix, winner in payoff.entries:
-        if prefix not in rho.forward:
-            raise PrefixNotInSource(prefix)
-        entries.append((rho.forward[prefix], winner))
-    return ClopenAntichain(tuple(entries), payoff.default)
+    the exit penalty semantics carry over unchanged.  An entry that is not
+    a node of the source tree is dropped: no in-tree play can reach it."""
+    entries = tuple(
+        (rho.forward[prefix], winner) for prefix, winner in payoff.entries if prefix in rho.forward
+    )
+    return ClopenAntichain(entries, payoff.default)
 
 
 def push_game(rho: RhoMap, game: Game) -> Game:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .players import Player, mover_at
-from .trees import FiniteTree, Seq
+from .trees import FiniteTree, Seq, parse_node
 
 
 class PayoffError(Exception):
@@ -168,31 +168,6 @@ def outcome_psi(tree: FiniteTree, payoff: ClopenAntichain, transcript: Seq) -> P
     return payoff.winner_at(transcript)
 
 
-def exit_win_existential(tree: FiniteTree, x: Seq, player: Player) -> bool:
-    """Some prefix is a first exit whose offender is the opponent."""
-    opponent = player.other
-    for n in range(1, len(x) + 1):
-        if x[:n] not in tree and x[: n - 1] in tree and mover_at(n - 1) is opponent:
-            return True
-    return False
-
-
-def exit_win_universal(tree: FiniteTree, x: Seq, player: Player) -> bool:
-    """Every out-of-tree prefix is explained by an opponent first exit at
-    or before it.  Agrees with the existential form on transcripts that
-    have left the tree; vacuously true on ones that never do."""
-    opponent = player.other
-    for n in range(1, len(x) + 1):
-        if x[:n] in tree:
-            continue
-        if not any(
-            x[:m] not in tree and x[: m - 1] in tree and mover_at(m - 1) is opponent
-            for m in range(1, n + 1)
-        ):
-            return False
-    return True
-
-
 def compile_diff(diff: DiffPayoff, tree: FiniteTree) -> ClopenAntichain:
     """Antichain equivalent to ``diff`` over plays of the given tree.
 
@@ -245,17 +220,6 @@ def serialize_diff(diff: DiffPayoff) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_seq(body: str, lineno: int) -> Seq:
-    parts = body.split()
-    try:
-        node = tuple(int(p) for p in parts)
-    except ValueError:
-        raise PayoffSyntaxError(lineno, f"not a sequence of naturals: {body!r}") from None
-    if any(x < 0 for x in node):
-        raise PayoffSyntaxError(lineno, f"negative entry in {body!r}")
-    return node
-
-
 def parse_payoff(text: str) -> ClopenAntichain | DiffPayoff:
     """Parse either payoff file format, dispatching on the header line."""
     lines = text.splitlines()
@@ -291,7 +255,7 @@ def _parse_clopen(lines: list[str]) -> ClopenAntichain:
             continue
         if tag not in ("I", "II"):
             raise PayoffSyntaxError(lineno, f"unknown winner tag {tag!r}")
-        prefix = _parse_seq(body, lineno)
+        prefix = parse_node(body, lineno, PayoffSyntaxError)
         if prefix in seen:
             raise PayoffSyntaxError(lineno, f"duplicate entry {prefix!r}")
         seen.add(prefix)
@@ -324,7 +288,7 @@ def _parse_diff(lines: list[str], header: str) -> DiffPayoff:
             continue
         if not levels:
             raise PayoffSyntaxError(lineno, "generator line before any 'level' line")
-        levels[-1].add(_parse_seq(line, lineno))
+        levels[-1].add(parse_node(line, lineno, PayoffSyntaxError))
     if len(levels) != k:
         raise PayoffSyntaxError(len(lines), f"header promised k={k} levels, found {len(levels)}")
     return DiffPayoff(tuple(OpenSet(frozenset(g)) for g in levels))

@@ -27,11 +27,11 @@ who makes an illegal move loses on the spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 from .players import Player, mover_at
-from .solver import SolveResult
+from .solver import SolveResult, counterplay, retrograde, step
 from .trees import FiniteTree, Seq, is_zero_free, subtree
 
 CTRL = "ctrl"
@@ -193,20 +193,6 @@ def build_reduction_game(tree: FiniteTree) -> ReductionGame:
     return ReductionGame(tree)
 
 
-def _apply(game: ReductionGame, st: RState, move: int) -> RState:
-    for mv, nxt in game.transitions(st):
-        if mv == move:
-            return nxt
-    raise ReductionError(f"move {move} is illegal in state {st!r}")
-
-
-def _forced(game: ReductionGame, st: RState) -> RState:
-    trans = game.transitions(st)
-    if len(trans) != 1:
-        raise ReductionError(f"state {st!r} is not forced")
-    return trans[0][1]
-
-
 @dataclass
 class Transcript:
     """The pieces of a play decoded back out of the move encoding."""
@@ -237,11 +223,7 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
     st = game.initial
     out = Transcript()
     for ply, move in enumerate(position):
-        nxt = None
-        for mv, cand in game.transitions(st):
-            if mv == move:
-                nxt = cand
-                break
+        nxt = step(game, st, move)
         if nxt is None:
             raise IllegalPosition(ply)
         if nxt.phase >= 2 and out.t is None:
@@ -266,74 +248,6 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
     return out
 
 
-def apply_rules(tree: FiniteTree, t: Seq, u0: int, v: Seq, u_prime: Seq) -> tuple[Player, str]:
-    """The four terminal rules, applied in order to decoded pieces."""
-    if t + v not in tree:
-        return Player.II, "rule1"
-    if len(v) == 0 or v[0] == u0:
-        return Player.II, "rule2"
-    u = (u0,) + u_prime
-    if t + u not in tree:
-        return Player.I, "rule3"
-    return (Player.II, "rule4") if len(v) <= len(u) else (Player.I, "rule4")
-
-
-def terminal_outcome(game: ReductionGame, play: Seq) -> tuple[Player, str]:
-    """Winner of a finished play plus the rule that fired.
-
-    A move with no legal counterpart, including any move made after the
-    end of the game, loses for its mover on the spot.
-    """
-    st = game.initial
-    for ply, move in enumerate(play):
-        if st.phase == 5:
-            return mover_at(ply).other, "exit"
-        nxt = None
-        for mv, cand in game.transitions(st):
-            if mv == move:
-                nxt = cand
-                break
-        if nxt is None:
-            return game.mover(st).other, "exit"
-        st = nxt
-    if st.phase != 5:
-        raise NotTerminal(f"play of length {len(play)} ends mid-game")
-    return st.winner, st.rule
-
-
-def terminal_winner(game: ReductionGame, play: Seq) -> Player:
-    return terminal_outcome(game, play)[0]
-
-
-def _state_value(memo: dict[RState, Player], st: RState) -> Player:
-    return st.winner if st.phase == 5 else memo[st]
-
-
-def _solve_states(
-    game: ReductionGame, pins: Mapping[RState, int] | None = None
-) -> tuple[Player, dict[RState, Player]]:
-    """Backward induction over abstract states, optionally with some of
-    player II's choices pinned to fixed moves."""
-    memo: dict[RState, Player] = {}
-
-    def value(st: RState) -> Player:
-        if st.phase == 5:
-            return st.winner
-        cached = memo.get(st)
-        if cached is not None:
-            return cached
-        trans = game.transitions(st)
-        if pins is not None and st in pins:
-            pinned = pins[st]
-            trans = tuple(item for item in trans if item[0] == pinned)
-        mover = game.mover(st)
-        result = mover if any(value(nxt) is mover for _, nxt in trans) else mover.other
-        memo[st] = result
-        return result
-
-    return value(game.initial), memo
-
-
 @dataclass
 class ReductionPolicy:
     """A positional strategy over abstract states for one player."""
@@ -347,65 +261,18 @@ def solve_reduction(tree: FiniteTree) -> SolveResult:
 
     Returns the winner (player II, on every finite source tree), a
     policy certified by exhaustive traversal, the value of every
-    explored abstract state and the state count.
+    reachable abstract state, terminals included, and their count.
     """
     game = build_reduction_game(tree)
-    winner, memo = _solve_states(game)
-    policy = ReductionPolicy(winner, _policy_moves(game, memo, winner))
-    return SolveResult(winner, policy, memo, len(memo))
-
-
-def _policy_moves(
-    game: ReductionGame, memo: dict[RState, Player], winner: Player
-) -> dict[RState, int]:
-    moves: dict[RState, int] = {}
-    seen: set[RState] = set()
-    stack = [game.initial]
-    while stack:
-        st = stack.pop()
-        if st.phase == 5 or st in seen:
-            continue
-        seen.add(st)
-        trans = game.transitions(st)
-        if game.mover(st) is winner:
-            mv, nxt = next(
-                (mv, nxt) for mv, nxt in trans if _state_value(memo, nxt) is winner
-            )
-            moves[st] = mv
-            stack.append(nxt)
-        else:
-            stack.extend(nxt for _, nxt in trans)
-    return moves
+    values, moves = retrograde(game)
+    winner = values[game.initial]
+    return SolveResult(winner, ReductionPolicy(winner, moves), values, len(values))
 
 
 def verify_winning_policy(game: ReductionGame, policy: ReductionPolicy) -> list[int] | None:
     """Walk every opponent line with the policy's owner following the
     policy; None when the owner wins every terminal, else a losing play."""
-    owner = policy.owner
-    path: list[int] = []
-
-    def walk(st: RState) -> list[int] | None:
-        if st.phase == 5:
-            return None if st.winner is owner else list(path)
-        trans = game.transitions(st)
-        if game.mover(st) is owner:
-            move = policy.moves.get(st)
-            nxt = next((n for mv, n in trans if mv == move), None)
-            if nxt is None:
-                return list(path)  # no response recorded: the line is lost
-            path.append(move)
-            found = walk(nxt)
-            path.pop()
-            return found
-        for move, nxt in trans:
-            path.append(move)
-            found = walk(nxt)
-            path.pop()
-            if found is not None:
-                return found
-        return None
-
-    return walk(game.initial)
+    return counterplay(game, policy.owner, policy.moves.get)
 
 
 @dataclass
@@ -418,52 +285,18 @@ class BranchReport:
     bound_holds: bool | None = None
 
 
-def _drive_phase1(game: ReductionGame, target: Seq) -> tuple[RState, list[int]]:
-    """Player I's moves (idles included) that build ``target`` and signal."""
-    tree = game.source
-    st = game.initial
-    moves: list[int] = []
-
-    def push(new_st: RState, mv: int) -> RState:
-        moves.append(mv)
-        return new_st
-
-    for element in target:
-        st = push(_apply(game, st, 0), 0)
-        st = push(_forced(game, st), 0)
-        kids = tree.children(st.cur)
-        st = push(_apply(game, st, kids[0][-1]), kids[0][-1])
-        st = push(_forced(game, st), 0)
-        kids = tree.children(st.cur)
-        if element == kids[0][-1]:
-            mv = 0
-        elif len(kids) == 2 and element == kids[1][-1]:
-            mv = element
-        else:
-            raise ReductionError(f"{element!r} does not label a successor of {st.cur!r}")
-        st = push(_apply(game, st, mv), mv)
-        st = push(_forced(game, st), 0)
-    st = push(_apply(game, st, 1), 1)
-    return st, moves
-
-
-def encode_build_moves(game: ReductionGame, target: Seq) -> list[int]:
-    """Move list realizing phase 1 for ``target``, ending on the signal."""
-    return _drive_phase1(game, target)[1]
-
-
 def _query_u0(game: ReductionGame, policy: ReductionPolicy, target: Seq) -> int:
-    st, _ = _drive_phase1(game, target)
+    """The answer the policy gives once player I has built ``target``."""
+    st = _phase2_entry(target)
     for kind in ("answer", "confirmation"):
         move = policy.moves.get(st)
         if move is None:
             raise StrategyNotWinning(f"no {kind} recorded after t={target!r}")
-        try:
-            st = _apply(game, st, move)
-        except ReductionError:
-            raise StrategyNotWinning(f"illegal {kind} {move} after t={target!r}") from None
+        st = step(game, st, move)
+        if st is None:
+            raise StrategyNotWinning(f"illegal {kind} {move} after t={target!r}")
         if kind == "answer":
-            st = _forced(game, st)
+            st = step(game, st, 0)
     return st.u0
 
 
@@ -541,18 +374,6 @@ def scan_positions(game: ReductionGame) -> ScanStats:
     return ScanStats(positions, max_length, max_moves)
 
 
-def materialize_game_tree(game: ReductionGame) -> FiniteTree:
-    """All legal positions as an explicit tree; small sources only."""
-    nodes: list[Seq] = []
-    stack: list[tuple[RState, Seq]] = [(game.initial, ())]
-    while stack:
-        st, pos = stack.pop()
-        nodes.append(pos)
-        for mv, nxt in game.transitions(st):
-            stack.append((nxt, pos + (mv,)))
-    return FiniteTree(frozenset(nodes))
-
-
 def horizon_bound(tree: FiniteTree) -> int:
     """Ply budget no legal play can exceed."""
     return 4 * (tree.height + 1) * 3 + 8
@@ -575,6 +396,18 @@ def _phase2_pins(tree: FiniteTree, t: Seq, answer: int) -> dict[RState, int]:
     return {a_state: a_move, b_state: b_move}
 
 
+@dataclass(frozen=True)
+class _PinnedGame(ReductionGame):
+    """The reduction game with some of its states restricted to one move."""
+
+    pins: Mapping[RState, int] = field(default_factory=dict)
+
+    def transitions(self, st: RState) -> tuple[tuple[int, RState], ...]:
+        trans = super().transitions(st)
+        pinned = self.pins.get(st)
+        return trans if pinned is None else tuple(t for t in trans if t[0] == pinned)
+
+
 def realizable_claim_traces(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
     """For every node taken as a claimed branch end, whether some winning
     answer policy follows that path and claims exactly there.
@@ -583,27 +416,25 @@ def realizable_claim_traces(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
     path, so pinning those and re-solving decides realizability for all
     winning policies at once.
     """
-    game = build_reduction_game(tree)
+    build_reduction_game(tree)  # rejects a tree that uses the label 0
     for node in tree.sorted_nodes:
         pins: dict[RState, int] = {}
         for i in range(len(node)):
             pins.update(_phase2_pins(tree, node[:i], node[i]))
         pins.update(_phase2_pins(tree, node, 0))
-        winner, _ = _solve_states(game, pins)
-        yield node, winner is Player.II
+        values, _ = retrograde(_PinnedGame(tree, pins))
+        yield node, values[_initial()] is Player.II
 
 
 def principal_play(game: ReductionGame, result: SolveResult) -> list[int]:
     """One full optimal-versus-leftmost play, for reporting."""
     moves: list[int] = []
     st = game.initial
-    while st.phase != 5:
-        trans = game.transitions(st)
+    while not game.is_terminal(st):
         if game.mover(st) is result.winner:
             move = result.strategy.moves[st]
-            nxt = next(n for mv, n in trans if mv == move)
         else:
-            move, nxt = trans[0]
+            move = game.transitions(st)[0][0]
         moves.append(move)
-        st = nxt
+        st = step(game, st, move)
     return moves

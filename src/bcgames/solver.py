@@ -8,6 +8,11 @@ out and loses.  Under those rules backward induction yields the winner,
 a certified restricted strategy for the winner, and the value of every
 explored node.
 
+The induction and the certificate walk run on a game graph, so the
+reduction game, another finite game with at most two moves per turn,
+shares them.  Both keep an explicit stack: no Python frame is spent per
+ply, however tall the tree or long the play.
+
 Two independent brute-force routes cross-check the induction: one
 enumerates restricted strategies for both players and evaluates the
 joint play literally, the other enumerates quotiented regular
@@ -17,7 +22,7 @@ strategies and scores each pair with the wrapped outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .payoff import ClopenAntichain, PayoffError, check_total, outcome_psi
 from .players import Player, mover_at
@@ -54,6 +59,11 @@ PAIR_CAP = 2**20
 
 @dataclass(frozen=True)
 class Game:
+    """A game on a tree, presented as a game graph: a state is a node, and
+    a move appends the label of an in-tree successor.  A node at the
+    decision depth has no moves and the payoff decides it; a node with
+    no in-tree successor has no moves either, and its mover loses."""
+
     tree: FiniteTree
     payoff: ClopenAntichain
     decision_depth: int
@@ -71,6 +81,25 @@ class Game:
         """Ply count by which every play of this game is settled."""
         return max(self.decision_depth, self.tree.height + 1)
 
+    @property
+    def initial(self) -> Seq:
+        return ()
+
+    def mover(self, node: Seq) -> Player:
+        return mover_at(len(node))
+
+    def transitions(self, node: Seq) -> tuple[tuple[int, Seq], ...]:
+        """In-tree moves with the nodes they reach, ascending by move."""
+        if len(node) == self.decision_depth:
+            return ()
+        return tuple([(child[-1], child) for child in self.tree.children(node)])
+
+    def winner(self, node: Seq) -> Player:
+        """Winner at a node without moves."""
+        if len(node) == self.decision_depth:
+            return self.payoff.winner_at(node)
+        return mover_at(len(node)).other
+
 
 def exit_game(tree: FiniteTree) -> Game:
     """The pure exit game: the payoff is unreachable, so being forced out
@@ -86,6 +115,112 @@ class SolveResult:
     explored: int
 
 
+# The game-graph core below serves every finite game that offers
+# ``initial``, ``mover(state)``, ``transitions(state)`` (``(move, next)``
+# pairs ascending by move) and ``winner(state)`` for a state without
+# transitions.  States must be hashable and the graph acyclic.
+
+
+def _follow(trans, move):
+    for legal, nxt in trans:
+        if legal == move:
+            return nxt
+    return None
+
+
+def step(game, state, move):
+    """The state ``move`` leads to from ``state``, or None when the move is
+    not legal there."""
+    return _follow(game.transitions(state), move)
+
+
+def retrograde(game) -> tuple[dict, dict]:
+    """Backward induction over every state reachable from ``game.initial``,
+    with an explicit stack.
+
+    A state without transitions takes ``game.winner``; elsewhere the
+    mover wins iff some successor is won by the mover.  Returns the value
+    of every reachable state and the winner's policy: on each state the
+    winner reaches while following it, the leftmost move to a state the
+    winner wins.  The policy is read off the edges stored while solving.
+    """
+    transitions, mover, terminal_winner = game.transitions, game.mover, game.winner
+    values: dict = {}
+    edges: dict = {}
+    # An entry without transitions asks for a state's successors; one with
+    # them comes back once every successor has its value.
+    stack: list = [(game.initial, None)]
+    while stack:
+        state, trans = stack.pop()
+        if trans is None:
+            if state in values:
+                continue
+            trans = transitions(state)
+            if not trans:
+                values[state] = terminal_winner(state)
+                continue
+            stack.append((state, trans))
+            stack.extend([(nxt, None) for _, nxt in reversed(trans)])
+        else:
+            who = mover(state)
+            values[state] = who if who in [values[nxt] for _, nxt in trans] else who.other
+            edges[state] = trans
+
+    winner = values[game.initial]
+    policy: dict = {}
+    seen = set()
+    stack = [game.initial]
+    while stack:
+        state = stack.pop()
+        trans = edges.get(state)
+        if trans is None or state in seen:
+            continue
+        seen.add(state)
+        if mover(state) is winner:
+            move, nxt = next(edge for edge in trans if values[edge[1]] is winner)
+            policy[state] = move
+            stack.append(nxt)
+        else:
+            stack.extend(nxt for _, nxt in trans)
+    return values, policy
+
+
+def counterplay(game, owner: Player, choose: Callable) -> list | None:
+    """Play every opponent line while ``owner`` plays ``choose(state)``.
+
+    Returns None when every line ends in a state without transitions won
+    by ``owner``, else the moves of the first line found, leftmost first,
+    that ends in a loss or in an owner state whose chosen move is not
+    legal.  States already walked are not walked again.
+    """
+    seen = set()
+    path: list = []
+    # Each entry carries the length of the path to its parent state.
+    stack = [(0, None, game.initial)]
+    while stack:
+        depth, move, state = stack.pop()
+        del path[depth:]
+        if move is not None:
+            path.append(move)
+        if state in seen:
+            continue
+        seen.add(state)
+        trans = game.transitions(state)
+        depth = len(path)
+        if not trans:
+            if game.winner(state) is not owner:
+                return path
+        elif game.mover(state) is owner:
+            move = choose(state)
+            nxt = _follow(trans, move)
+            if nxt is None:
+                return path
+            stack.append((depth, move, nxt))
+        else:
+            stack.extend((depth, m, n) for m, n in reversed(trans))
+    return None
+
+
 def solve(game: Game) -> SolveResult:
     """Backward induction from the root.
 
@@ -94,52 +229,22 @@ def solve(game: Game) -> SolveResult:
     successor wins for the mover.  Ties break to the leftmost successor
     when the winner's strategy is read off.
     """
-    tree, depth = game.tree, game.decision_depth
-    values: dict[Seq, Player] = {}
-
-    def value(node: Seq) -> Player:
-        cached = values.get(node)
-        if cached is not None:
-            return cached
-        if len(node) == depth:
-            result = game.payoff.winner_at(node)
-        else:
-            kids = tree.children(node)
-            mover = mover_at(len(node))
-            if not kids:
-                result = mover.other
-            else:
-                child_values = [value(c) for c in kids]
-                result = mover if mover in child_values else mover.other
-        values[node] = result
-        return result
-
-    winner = value(())
-    strategy = RestrictedStrategy(winner, frozenset(_winning_subtree(game, values, winner)))
-    return SolveResult(winner, strategy, values, len(values))
-
-
-def _winning_subtree(game: Game, values: dict[Seq, Player], winner: Player) -> set[Seq]:
-    # Keeps all opponent options; below the decision depth the choice no
-    # longer matters, so the leftmost successor keeps the subtree valid.
-    tree, depth = game.tree, game.decision_depth
+    values, policy = retrograde(game)
+    winner = values[()]
+    tree = game.tree
     nodes: set[Seq] = set()
     stack: list[Seq] = [()]
     while stack:
         node = stack.pop()
         nodes.add(node)
         kids = tree.children(node)
-        if not kids:
-            continue
-        if mover_at(len(node)) is winner:
-            if len(node) < depth:
-                chosen = next(c for c in kids if values.get(c) is winner)
-            else:
-                chosen = kids[0]
-            stack.append(chosen)
-        else:
-            stack.extend(kids)
-    return nodes
+        if kids and mover_at(len(node)) is winner:
+            # Below the decision depth the choice no longer matters, so the
+            # leftmost successor keeps the subtree valid.
+            move = policy.get(node, kids[0][-1])
+            kids = [child for child in kids if child[-1] == move]
+        stack.extend(kids)
+    return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), values, len(values))
 
 
 def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
@@ -148,43 +253,20 @@ def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
     Returns None when every settled transcript is won by the strategy's
     owner, else the first losing position found.
     """
-    owner = strategy.owner
-    validate_restricted(game.tree, strategy.nodes, owner)
-    depth = game.decision_depth
-    stack: list[Seq] = [()]
-    while stack:
-        node = stack.pop()
-        if len(node) == depth:
-            if game.payoff.winner_at(node) is not owner:
-                return node
-            continue
-        kids = game.tree.children(node)
-        if mover_at(len(node)) is owner:
-            if not kids:
-                return node  # owner is the one forced out
-            stack.append(strategy.choice_at(node))
-        else:
-            # no in-tree option forces the opponent out: owner wins the line
-            stack.extend(strategy.children(node))
-    return None
+    validate_restricted(game.tree, strategy.nodes, strategy.owner)
+
+    def choose(node: Seq) -> int | None:
+        chosen = strategy.choice_at(node)
+        return None if chosen is None else chosen[-1]
+
+    play = counterplay(game, strategy.owner, choose)
+    return None if play is None else tuple(play)
 
 
 def _endpoint_winner(game: Game, endpoint: Seq) -> Player:
     if len(endpoint) >= game.decision_depth:
         return game.payoff.winner_at(endpoint)
     return mover_at(len(endpoint)).other
-
-
-def decided_prefix(game: Game, play: Seq) -> Seq:
-    """Shortest prefix of a play at which this game is settled: the first
-    step out of the tree, or the in-tree prefix at the decision depth."""
-    for k in range(len(play) + 1):
-        prefix = play[:k]
-        if prefix not in game.tree:
-            return prefix
-        if k == game.decision_depth:
-            return prefix
-    raise UndecidedGame(f"play of length {len(play)} never settles")
 
 
 def brute_force_oracle(game: Game, cap: int = PAIR_CAP) -> Player:

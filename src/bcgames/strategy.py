@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .players import Player, mover_at, parse_player
-from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq
+from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, parse_node_lines
 
 
 class StrategyError(Exception):
@@ -95,7 +95,6 @@ class RegularStrategy:
     owner: Player
     moves: Mapping[Seq, Move]
     default: Move | None = None
-    horizon: int = 0
 
     def move_at(self, position: Seq):
         if position in self.moves:
@@ -208,42 +207,38 @@ def product_restricted(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Se
 
 
 def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[RestrictedStrategy]:
-    """Every valid restricted strategy exactly once, leftmost choices first."""
+    """Every valid restricted strategy exactly once, leftmost choices first.
 
-    def below(node: Seq) -> list[frozenset[Seq]]:
-        kids = tree.children(node)
-        if not kids:
-            return [frozenset((node,))]
-        if owner_moves_at(owner, node):
-            out = []
-            for child in kids:
-                out += [sub | {node} for sub in below(child)]
-            return out
-        return [
-            frozenset((node,)).union(*combo)
-            for combo in itertools.product(*(below(c) for c in kids))
-        ]
-
-    for nodes in below(()):
+    Built bottom-up: the strategies below a node come from those below
+    its successors, a choice of one at owner nodes and one of each at
+    opponent nodes."""
+    below: dict[Seq, list[frozenset[Seq]]] = {}
+    for node in reversed(tree.sorted_nodes):
+        options = [below.pop(child) for child in tree.children(node)]
+        if not options:
+            below[node] = [frozenset((node,))]
+        elif owner_moves_at(owner, node):
+            below[node] = [sub | {node} for subs in options for sub in subs]
+        else:
+            below[node] = [
+                frozenset((node,)).union(*combo) for combo in itertools.product(*options)
+            ]
+    for nodes in below[()]:
         yield RestrictedStrategy(owner, nodes)
 
 
 def count_restricted(tree: FiniteTree, owner: Player) -> int:
-    """Strategy count by the sum/product recursion: owner nodes sum over
-    their choices, opponent nodes multiply over the kept successors."""
-
-    def count(node: Seq) -> int:
+    """Strategy count by the sum/product rule, bottom-up: owner nodes sum
+    over their choices, opponent nodes multiply over the kept successors."""
+    counts: dict[Seq, int] = {}
+    for node in reversed(tree.sorted_nodes):
         kids = tree.children(node)
-        if not kids:
-            return 1
-        if owner_moves_at(owner, node):
-            return sum(count(c) for c in kids)
-        total = 1
-        for c in kids:
-            total *= count(c)
-        return total
-
-    return count(())
+        if len(kids) == 2:
+            left, right = counts[kids[0]], counts[kids[1]]
+            counts[node] = left + right if owner_moves_at(owner, node) else left * right
+        else:
+            counts[node] = counts[kids[0]] if kids else 1
+    return counts[()]
 
 
 def restricted_to_regular(strategy: RestrictedStrategy) -> RegularStrategy:
@@ -255,8 +250,7 @@ def restricted_to_regular(strategy: RestrictedStrategy) -> RegularStrategy:
             choice = strategy.choice_at(node)
             if choice is not None:
                 moves[node] = choice[-1]
-    horizon = max(len(n) for n in strategy.nodes)
-    return RegularStrategy(strategy.owner, moves, default=0, horizon=horizon)
+    return RegularStrategy(strategy.owner, moves, default=0)
 
 
 def quotient_positions(tree: FiniteTree, owner: Player) -> tuple[Seq, ...]:
@@ -275,9 +269,8 @@ def enumerate_regular_quotient(tree: FiniteTree, owner: Player) -> Iterator[Regu
     owner moves, a successor label or EXIT; EXIT everywhere else."""
     positions = quotient_positions(tree, owner)
     options = [[c[-1] for c in tree.children(p)] + [EXIT] for p in positions]
-    horizon = tree.height + 1
     for combo in itertools.product(*options):
-        yield RegularStrategy(owner, dict(zip(positions, combo)), default=EXIT, horizon=horizon)
+        yield RegularStrategy(owner, dict(zip(positions, combo)), default=EXIT)
 
 
 STRATEGY_HEADER = "strategy v1"
@@ -301,16 +294,4 @@ def parse_strategy(text: str) -> RestrictedStrategy:
         owner = parse_player(tail.removeprefix("owner="))
     except ValueError as exc:
         raise StrategySyntaxError(1, str(exc)) from None
-    nodes: set[Seq] = {()}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            node = tuple(int(p) for p in line.split())
-        except ValueError:
-            raise StrategySyntaxError(lineno, f"not a sequence of naturals: {raw!r}") from None
-        if node in nodes:
-            raise StrategySyntaxError(lineno, f"duplicate node {node!r}")
-        nodes.add(node)
-    return RestrictedStrategy(owner, frozenset(nodes))
+    return RestrictedStrategy(owner, parse_node_lines(lines, StrategySyntaxError))

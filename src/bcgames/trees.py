@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Seq = tuple[int, ...]
 
@@ -131,22 +131,12 @@ def validate_tree(candidate: Iterable[Seq]) -> FiniteTree:
     return FiniteTree(frozenset(tuple(node) for node in candidate))
 
 
-def successors(tree: FiniteTree, node: Seq) -> list[Seq]:
-    """One-step extensions of ``node`` in the tree, ascending by label."""
-    return list(tree.children(node))
-
-
 def subtree(tree: FiniteTree, node: Seq) -> FiniteTree:
     """The tree of suffixes s with node + s in the tree."""
     if node not in tree:
         raise NodeNotInTree(node)
     k = len(node)
     return FiniteTree(frozenset(n[k:] for n in tree.nodes if n[:k] == node))
-
-
-def metrics(tree: FiniteTree) -> tuple[int, int]:
-    """(node count, maximum node length)."""
-    return tree.size, tree.height
 
 
 def is_zero_free(tree: FiniteTree) -> bool:
@@ -210,24 +200,36 @@ def serialize_tree(tree: FiniteTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_node(text: str, lineno: int, error: Callable[[int, str], Exception]) -> Seq:
+    """One node written as space-separated naturals; malformed text raises
+    ``error(lineno, message)``, the calling codec's syntax error."""
+    try:
+        node = tuple(int(part) for part in text.split())
+    except ValueError:
+        raise error(lineno, f"not a sequence of naturals: {text!r}") from None
+    if any(x < 0 for x in node):
+        raise error(lineno, f"negative entry in {text!r}")
+    return node
+
+
+def parse_node_lines(lines: list[str], error: Callable[[int, str], Exception]) -> frozenset[Seq]:
+    """The root plus one node per non-blank line after the header line;
+    duplicate node lines are rejected."""
+    nodes: set[Seq] = {ROOT}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        node = parse_node(raw, lineno, error)
+        if node in nodes:
+            raise error(lineno, f"duplicate node {node!r}")
+        nodes.add(node)
+    return frozenset(nodes)
+
+
 def parse_tree(text: str) -> FiniteTree:
     """Parse the tree file format; the root is implicit and line order is
     irrelevant, but duplicate node lines are rejected."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != TREE_HEADER:
         raise TreeSyntaxError(1, f"expected header {TREE_HEADER!r}")
-    nodes: set[Seq] = {ROOT}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            node = tuple(int(part) for part in line.split())
-        except ValueError:
-            raise TreeSyntaxError(lineno, f"not a sequence of naturals: {raw!r}") from None
-        if any(x < 0 for x in node):
-            raise TreeSyntaxError(lineno, f"negative entry in {raw!r}")
-        if node in nodes:
-            raise TreeSyntaxError(lineno, f"duplicate node {node!r}")
-        nodes.add(node)
-    return validate_tree(nodes)
+    return FiniteTree(parse_node_lines(lines, TreeSyntaxError))

@@ -1,10 +1,8 @@
-import pytest
-
-from bcgames.embedding import PrefixNotInSource, build_rho, pull_back_strategy, push_game, push_payoff
+from bcgames.embedding import build_rho, pull_back_strategy, push_game, push_payoff
 from bcgames.lab import game_for, random_payoffs
 from bcgames.payoff import ClopenAntichain
 from bcgames.players import Player
-from bcgames.solver import solve, verify_winning
+from bcgames.solver import Game, solve, verify_winning
 from bcgames.trees import enumerate_trees, validate_tree
 
 T = validate_tree([(), (1,), (2,), (1, 3)])
@@ -44,8 +42,11 @@ def test_push_payoff_examples():
     assert push_payoff(rho, ClopenAntichain((((2,), Player.II),), Player.I)).entries == (
         ((1,), Player.II),
     )
-    with pytest.raises(PrefixNotInSource):
-        push_payoff(rho, ClopenAntichain((((9,), Player.I),), Player.II))
+    # an entry off the source tree is dropped: no in-tree play reaches it
+    off_tree = ClopenAntichain((((9,), Player.I), ((1, 3), Player.II)), Player.I)
+    assert push_payoff(rho, off_tree).entries == (((0, 0), Player.II),)
+    game = Game(T, off_tree, 2)
+    assert solve(game).winner is solve(push_game(rho, game)).winner
 
 
 def test_pull_back_examples():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -163,3 +165,56 @@ def test_cli_lab_small(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert "suite oracle" in text and "result: PASS" in text
     assert "wall-clock" in capsys.readouterr().err
+
+
+def test_cli_fmt_rejects_a_negative_node_in_every_codec(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    for flag, text in (
+        ("--tree", "tree v1\n-1\n"),
+        ("--strategy", "strategy v1 owner=I\n-1\n"),
+        ("--payoff", "payoff clopen v1\nI: -1\ndefault: I\n"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["fmt", flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2: negative entry" in captured.err
+
+
+def test_cli_commands_need_no_stack_frame_per_ply(tmp_path, src_env):
+    # The recursion limit is far below the height of the path and the
+    # play length of the reduction game, so a solver or walk that
+    # recursed once per level would end in a RecursionError traceback.
+    tall = tmp_path / "tall.txt"
+    tall.write_text(serialize_tree(validate_tree([(1,) * i for i in range(301)])), encoding="utf-8")
+    decoy = tmp_path / "decoy.txt"
+    decoy_nodes = [(1,) * i for i in range(9)] + [(2,)]
+    decoy.write_text(serialize_tree(validate_tree(decoy_nodes)), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from bcgames.cli import main\n"
+        "sys.setrecursionlimit(120)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for argv in (
+        ["solve", "--tree", str(tall)],
+        ["embed", "--tree", str(tall)],
+        ["reduce", "--tree", str(decoy), "--extract"],
+        ["extract", "--tree", str(decoy)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--json"],
+            capture_output=True,
+            text=True,
+            env=src_env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        if argv[0] == "solve":
+            assert payload["winner"] == "II" and payload["oracle_checked"] is True
+        elif argv[0] == "embed":
+            assert payload["winners_agree"] and payload["pulled_strategy_certified"]
+        else:
+            branch = payload.get("branch", payload)
+            assert branch["f"] == [1] * 8 and branch["bound_holds"] is True

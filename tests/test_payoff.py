@@ -11,8 +11,6 @@ from bcgames.payoff import (
     UndecidedTranscript,
     compile_diff,
     eval_diff,
-    exit_win_existential,
-    exit_win_universal,
     first_exit,
     outcome_psi,
     parse_payoff,
@@ -21,6 +19,7 @@ from bcgames.payoff import (
 )
 from bcgames.players import Player
 from bcgames.trees import enumerate_trees, validate_tree
+from oracles import exit_win_existential, exit_win_universal
 
 T_CHAIN = validate_tree([(), (1,)])
 CORPUS_5 = list(enumerate_trees(5))

@@ -7,23 +7,25 @@ from bcgames.reduction import (
     NotTerminal,
     StrategyNotWinning,
     ZeroLabeledTree,
-    apply_rules,
     build_reduction_game,
     check_cardinality_bound,
     decode,
-    encode_build_moves,
     extract_branch,
     horizon_bound,
-    materialize_game_tree,
     principal_play,
     realizable_claim_traces,
     scan_positions,
     solve_reduction,
-    terminal_outcome,
-    terminal_winner,
     verify_winning_policy,
 )
 from bcgames.trees import enumerate_trees, validate_tree
+from oracles import (
+    apply_rules,
+    encode_build_moves,
+    materialize_game_tree,
+    terminal_outcome,
+    terminal_winner,
+)
 
 T_ROOT = validate_tree([()])
 T_FORK = validate_tree([(), (1,), (2,)])

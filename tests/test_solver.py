@@ -1,5 +1,6 @@
 import pytest
 
+from bcgames.embedding import build_rho, pull_back_strategy, push_game
 from bcgames.lab import game_for, random_payoffs
 from bcgames.payoff import ClopenAntichain
 from bcgames.players import Player, mover_at
@@ -9,7 +10,6 @@ from bcgames.solver import (
     UndecidedGame,
     brute_force_oracle,
     check_def3_def4,
-    decided_prefix,
     def3_winner,
     exit_game,
     solve,
@@ -23,6 +23,7 @@ from bcgames.strategy import (
 )
 from bcgames.payoff import outcome_psi
 from bcgames.trees import enumerate_trees, validate_tree
+from oracles import decided_prefix
 
 CORPUS_5 = list(enumerate_trees(5))
 
@@ -160,3 +161,21 @@ def test_conversion_soundness_small():
             play = product_regular(sigma, tau, horizon, tree=game.tree)
             settled = decided_prefix(game, play)
             assert outcome_psi(game.tree, game.payoff, settled) is owner
+
+
+def test_tall_path_solves_certifies_and_embeds():
+    # Taller than the default recursion limit: every route here walks
+    # with an explicit stack.
+    height = 2000
+    tree = validate_tree([(1,) * i for i in range(height + 1)])
+    game = exit_game(tree)
+    result = solve(game)
+    assert result.winner is Player.II  # player I moves at the leaf and is forced out
+    assert result.explored == height + 1
+    assert verify_winning(game, result.strategy) is None
+    rho = build_rho(tree)
+    image = solve(push_game(rho, game))
+    assert image.winner is result.winner
+    pulled = pull_back_strategy(rho, image.strategy)
+    assert pulled.nodes == result.strategy.nodes
+    assert verify_winning(game, pulled) is None

@@ -9,11 +9,9 @@ from bcgames.trees import (
     TreeSyntaxError,
     enumerate_trees,
     is_zero_free,
-    metrics,
     parse_tree,
     serialize_tree,
     subtree,
-    successors,
     validate_tree,
     zero_free_transform,
 )
@@ -40,12 +38,12 @@ def test_validate_missing_prefix():
 
 def test_successors_examples():
     tree = validate_tree([(), (1,), (2,)])
-    assert successors(tree, ()) == [(1,), (2,)]
-    assert successors(tree, (1,)) == []
+    assert tree.children(()) == ((1,), (2,))
+    assert tree.children((1,)) == ()
     chain = validate_tree([(), (1,), (1, 3)])
-    assert successors(chain, (1,)) == [(1, 3)]
+    assert chain.children((1,)) == ((1, 3),)
     with pytest.raises(NodeNotInTree):
-        successors(tree, (9,))
+        tree.children((9,))
 
 
 def test_subtree_examples():
@@ -57,6 +55,9 @@ def test_subtree_examples():
 
 
 def test_metrics_examples():
+    def metrics(tree):
+        return tree.size, tree.height
+
     assert metrics(validate_tree([()])) == (1, 0)
     assert metrics(validate_tree([(), (1,), (2,)])) == (3, 1)
     assert metrics(validate_tree([(), (1,), (1, 3)])) == (3, 2)
@@ -76,7 +77,7 @@ def test_zero_free_transform_examples():
 def test_zero_free_preserves_shape(tree):
     shifted = zero_free_transform(tree)
     assert is_zero_free(shifted)
-    assert metrics(shifted) == metrics(tree)
+    assert (shifted.size, shifted.height) == (tree.size, tree.height)
     for node in tree:
         image = tuple(x + 1 for x in node)
         assert len(shifted.children(image)) == len(tree.children(node))
