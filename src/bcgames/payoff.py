@@ -108,19 +108,34 @@ class ClopenAntichain:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", ordered)
-        for i, (p, _) in enumerate(ordered):
-            for q, _ in ordered[i + 1 :]:
-                if _is_prefix(p, q):
-                    raise OverlappingEntries(p, q)
+        # In sorted order the extensions of an entry directly follow it,
+        # so comparing neighbours finds the first overlapping pair.
+        for (p, _), (q, _) in zip(ordered, ordered[1:]):
+            if _is_prefix(p, q):
+                raise OverlappingEntries(p, q)
 
     @cached_property
     def decision_depth(self) -> int:
         return max((len(p) for p, _ in self.entries), default=0)
 
+    @cached_property
+    def _by_prefix(self) -> dict[Seq, Player]:
+        return dict(self.entries)
+
+    @cached_property
+    def _lengths(self) -> tuple[int, ...]:
+        """The distinct entry lengths, ascending: the only prefix lengths
+        at which an entry can match."""
+        return tuple(sorted({len(p) for p, _ in self.entries}))
+
     def decide(self, prefix: Seq) -> Player | None:
         """Winner fixed by ``prefix``, or None when still open."""
-        for p, winner in self.entries:
-            if _is_prefix(p, prefix):
+        by_prefix = self._by_prefix
+        for n in self._lengths:
+            if n > len(prefix):
+                break
+            winner = by_prefix.get(prefix[:n])
+            if winner is not None:
                 return winner
         if len(prefix) >= self.decision_depth:
             return self.default

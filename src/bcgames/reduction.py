@@ -27,8 +27,8 @@ who makes an illegal move loses on the spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, NamedTuple
 
 from .players import Player, mover_at
 from .solver import SolveResult, counterplay, retrograde, step
@@ -67,9 +67,11 @@ class StrategyNotWinning(ReductionError):
     """A simulated response loses, contradicting the certification."""
 
 
-@dataclass(frozen=True, slots=True)
-class RState:
-    """Abstract game state; positions sharing a state share their future."""
+class RState(NamedTuple):
+    """Abstract game state; positions sharing a state share their future.
+
+    A named tuple, built field by field by the constructor on every move,
+    so hashing and comparing states is the tuple's own work."""
 
     phase: int  # 1..4, 5 once finished
     step: str
@@ -80,37 +82,46 @@ class RState:
     v_len: int
     v0_ok: bool | None  # v starts with u0; None while v is empty
     u_len: int
-    winner: Player | None
-    rule: str | None
+    winner: Player | None = None  # set on terminal states only
+    rule: str | None = None
+
+
+# The builder of a phase moves at its control and micro steps, the other
+# player idles in between.
+_MOVER = {
+    (phase, step): builder if step in (CTRL, MICRO_A, MICRO_B) else builder.other
+    for phase, builder in ((1, Player.I), (2, Player.II), (3, Player.I), (4, Player.II))
+    for step in (CTRL, IDLE_CTRL, MICRO_A, IDLE_A, MICRO_B, IDLE_B)
+}
 
 
 def _initial() -> RState:
-    return RState(1, CTRL, (), None, None, None, 0, None, 0, None, None)
+    return RState(1, CTRL, (), None, None, None, 0, None, 0)
 
 
 def _phase2_entry(t: Seq) -> RState:
-    return RState(2, MICRO_A, t, t, None, None, 0, None, 0, None, None)
+    return RState(2, MICRO_A, t, t, None, None, 0, None, 0)
 
 
 def _phase3_entry(t: Seq, u0: int) -> RState:
-    return RState(3, CTRL, t, t, u0, None, 0, None, 0, None, None)
+    return RState(3, CTRL, t, t, u0, None, 0, None, 0)
 
 
-def _phase4_entry(st: RState) -> RState:
-    u_node = st.t + (st.u0,) if st.u0 != 0 else None
-    return RState(4, CTRL, u_node, None, None, None, st.v_len, st.v0_ok, 1, None, None)
+def _phase4_entry(t: Seq, u0: int, v_len: int, v0_ok: bool | None) -> RState:
+    u_node = t + (u0,) if u0 != 0 else None
+    return RState(4, CTRL, u_node, None, None, None, v_len, v0_ok, 1)
 
 
-def _terminal(st: RState) -> RState:
-    if st.v_len == 0 or st.v0_ok:
+def _terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+    if v_len == 0 or v0_ok:
         winner, rule = Player.II, "rule2"
-    elif st.cur is None:
+    elif cur is None:
         winner, rule = Player.I, "rule3"
-    elif st.v_len <= st.u_len:
+    elif v_len <= u_len:
         winner, rule = Player.II, "rule4"
     else:
         winner, rule = Player.I, "rule4"
-    return RState(5, DONE, None, None, None, None, st.v_len, st.v0_ok, st.u_len, winner, rule)
+    return RState(5, DONE, None, None, None, None, v_len, v0_ok, u_len, winner, rule)
 
 
 @dataclass(frozen=True)
@@ -122,10 +133,10 @@ class ReductionGame:
         return _initial()
 
     def mover(self, st: RState) -> Player:
-        if st.phase == 5:
+        who = _MOVER.get((st.phase, st.step))
+        if who is None:
             raise NotTerminal("terminal positions have no mover")
-        builder = Player.I if st.phase in (1, 3) else Player.II
-        return builder if st.step in (CTRL, MICRO_A, MICRO_B) else builder.other
+        return who
 
     def is_terminal(self, st: RState) -> bool:
         return st.phase == 5
@@ -137,54 +148,58 @@ class ReductionGame:
 
     def transitions(self, st: RState) -> tuple[tuple[int, RState], ...]:
         """Legal moves with their successor states, ascending by move."""
-        if st.phase == 5:
+        phase, step, cur, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+        if phase == 5:
             return ()
-        step = st.step
-        if step in _NEXT_AFTER_IDLE:
-            return ((0, replace(st, step=_NEXT_AFTER_IDLE[step])),)
+        after_idle = _NEXT_AFTER_IDLE.get(step)
+        if after_idle is not None:
+            return ((0, RState(phase, after_idle, cur, t, u0, a2, v_len, v0_ok, u_len)),)
         tree = self.source
         if step == CTRL:
-            out = []
-            if st.cur is not None and tree.children(st.cur):
-                out.append((0, replace(st, step=IDLE_CTRL)))
-            if st.phase == 1:
-                out.append((1, _phase2_entry(st.cur)))
-            elif st.phase == 3:
-                out.append((1, _phase4_entry(st)))
+            if phase == 1:
+                end = _phase2_entry(cur)
+            elif phase == 3:
+                end = _phase4_entry(t, u0, v_len, v0_ok)
             else:
-                out.append((1, _terminal(st)))
-            return tuple(out)
+                end = _terminal(cur, v_len, v0_ok, u_len)
+            if cur is not None and tree.children(cur):
+                extend = RState(phase, IDLE_CTRL, cur, t, u0, a2, v_len, v0_ok, u_len)
+                return ((0, extend), (1, end))
+            return ((1, end),)
         if step == MICRO_A:
-            if st.phase == 2:
-                out = [(0, replace(st, step=IDLE_A, a2=0))]
-                kids = tree.children(st.t)
-                if kids:
-                    out.append((kids[0][-1], replace(st, step=IDLE_A, a2=kids[0][-1])))
-                return tuple(out)
-            kids = tree.children(st.cur)
-            return ((kids[0][-1], replace(st, step=IDLE_A)),)
+            if phase == 2:
+                claim = (0, RState(2, IDLE_A, cur, t, u0, 0, v_len, v0_ok, u_len))
+                kids = tree.children(t)
+                if not kids:
+                    return (claim,)
+                left = kids[0][-1]
+                return (claim, (left, RState(2, IDLE_A, cur, t, u0, left, v_len, v0_ok, u_len)))
+            left = tree.children(cur)[0][-1]
+            return ((left, RState(phase, IDLE_A, cur, t, u0, a2, v_len, v0_ok, u_len)),)
         # step == MICRO_B
-        if st.phase == 2:
-            if st.a2 == 0:
-                return ((0, _phase3_entry(st.t, 0)),)
-            kids = tree.children(st.t)
-            out = [(0, _phase3_entry(st.t, st.a2))]
+        if phase == 2:
+            if a2 == 0:
+                return ((0, _phase3_entry(t, 0)),)
+            kids = tree.children(t)
             if len(kids) == 2:
-                out.append((kids[1][-1], _phase3_entry(st.t, kids[1][-1])))
-            return tuple(out)
-        kids = tree.children(st.cur)
-        out = [(0, self._extend(st, kids[0]))]
+                right = kids[1][-1]
+                return ((0, _phase3_entry(t, a2)), (right, _phase3_entry(t, right)))
+            return ((0, _phase3_entry(t, a2)),)
+        kids = tree.children(cur)
         if len(kids) == 2:
-            out.append((kids[1][-1], self._extend(st, kids[1])))
-        return tuple(out)
+            return ((0, self._extend(st, kids[0])), (kids[1][-1], self._extend(st, kids[1])))
+        return ((0, self._extend(st, kids[0])),)
 
     def _extend(self, st: RState, child: Seq) -> RState:
-        if st.phase == 1:
-            return replace(st, step=IDLE_B, cur=child)
-        if st.phase == 3:
-            v0_ok = st.v0_ok if st.v_len else child[-1] == st.u0
-            return replace(st, step=IDLE_B, cur=child, v_len=st.v_len + 1, v0_ok=v0_ok)
-        return replace(st, step=IDLE_B, cur=child, u_len=st.u_len + 1)
+        """The state after the builder appends ``child``'s label."""
+        phase, _, _, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+        if phase == 1:
+            return RState(1, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len)
+        if phase == 3:
+            if not v_len:
+                v0_ok = child[-1] == u0
+            return RState(3, IDLE_B, child, t, u0, a2, v_len + 1, v0_ok, u_len)
+        return RState(4, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len + 1)
 
 
 def build_reduction_game(tree: FiniteTree) -> ReductionGame:
@@ -392,7 +407,7 @@ def _phase2_pins(tree: FiniteTree, t: Seq, answer: int) -> dict[RState, int]:
         a_move, b_move = kids[0][-1], answer
     else:
         raise ReductionError(f"{answer} is not an available answer at {t!r}")
-    b_state = replace(a_state, step=MICRO_B, a2=a_move)
+    b_state = RState(2, MICRO_B, t, t, None, a_move, 0, None, 0)
     return {a_state: a_move, b_state: b_move}
 
 

@@ -2,10 +2,10 @@
 
 Each one restates a rule of the library in the most literal way
 available, so the tests can compare the library's fast paths against
-it: the exit rule read two ways, the settling prefix of a play, the
-four terminal rules of the reduction game applied to decoded pieces, a
-play scored move by move, and the reduction game's positions as an
-explicit tree.
+it: the exit rule read two ways, a clopen payoff read by scanning every
+entry, the settling prefix of a play, the four terminal rules of the
+reduction game applied to decoded pieces, a play scored move by move,
+and the reduction game's positions as an explicit tree.
 """
 
 from __future__ import annotations
@@ -39,6 +39,29 @@ def exit_win_universal(tree: FiniteTree, x: Seq, player: Player) -> bool:
         ):
             return False
     return True
+
+
+def first_overlap(entries) -> tuple[Seq, Seq] | None:
+    """The first pair (p, q) of entry prefixes, in sorted order, with p a
+    prefix of q, found by comparing every pair."""
+    ordered = sorted(p for p, _ in entries)
+    for i, p in enumerate(ordered):
+        for q in ordered[i + 1 :]:
+            if q[: len(p)] == p:
+                return p, q
+    return None
+
+
+def decide_by_scan(entries, default: Player, prefix: Seq) -> Player | None:
+    """Winner of an antichain payoff fixed by ``prefix``: the entry that is
+    a prefix of it, else the default once ``prefix`` is as long as every
+    entry, else None."""
+    for p, winner in entries:
+        if prefix[: len(p)] == p:
+            return winner
+    if len(prefix) >= max((len(p) for p, _ in entries), default=0):
+        return default
+    return None
 
 
 def decided_prefix(game: Game, play: Seq) -> Seq:

@@ -19,7 +19,7 @@ from bcgames.payoff import (
 )
 from bcgames.players import Player
 from bcgames.trees import enumerate_trees, validate_tree
-from oracles import exit_win_existential, exit_win_universal
+from oracles import decide_by_scan, exit_win_existential, exit_win_universal, first_overlap
 
 T_CHAIN = validate_tree([(), (1,)])
 CORPUS_5 = list(enumerate_trees(5))
@@ -123,6 +123,35 @@ def test_antichain_decide():
     assert pay.decide((1,)) is None
     assert pay.decide((1, 1)) is Player.I  # default at depth
     assert pay.decide((1, 0)) is Player.II
+
+
+PREFIXES = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+PLAYERS = st.sampled_from(Player)
+
+
+@given(st.dictionaries(PREFIXES, PLAYERS, max_size=8), PLAYERS)
+def test_antichain_overlap_check_matches_pairwise_oracle(winners, default):
+    entries = tuple(winners.items())
+    overlap = first_overlap(entries)
+    if overlap is None:
+        ClopenAntichain(entries, default)
+        return
+    with pytest.raises(OverlappingEntries) as err:
+        ClopenAntichain(entries, default)
+    assert str(err.value) == str(OverlappingEntries(*overlap))
+
+
+@given(st.dictionaries(PREFIXES, PLAYERS, max_size=8), PLAYERS, st.data())
+def test_antichain_decide_matches_linear_scan(winners, default, data):
+    # keep the entries no other entry extends, which leaves an antichain
+    entries = tuple(
+        (p, w) for p, w in winners.items() if not any(q != p and q[: len(p)] == p for q in winners)
+    )
+    pay = ClopenAntichain(entries, default)
+    suffix = data.draw(st.lists(st.integers(0, 2), max_size=6).map(tuple))
+    start = data.draw(st.sampled_from([()] + [p for p, _ in entries]))
+    for prefix in (suffix, start + suffix):
+        assert pay.decide(prefix) is decide_by_scan(entries, default, prefix)
 
 
 def test_compile_diff_matches_eval():

@@ -5,8 +5,10 @@ from bcgames.reduction import (
     BranchReport,
     IllegalPosition,
     NotTerminal,
+    ReductionGame,
     StrategyNotWinning,
     ZeroLabeledTree,
+    _phase2_pins,
     build_reduction_game,
     check_cardinality_bound,
     decode,
@@ -18,6 +20,7 @@ from bcgames.reduction import (
     solve_reduction,
     verify_winning_policy,
 )
+from bcgames.solver import retrograde
 from bcgames.trees import enumerate_trees, validate_tree
 from oracles import (
     apply_rules,
@@ -31,6 +34,7 @@ T_ROOT = validate_tree([()])
 T_FORK = validate_tree([(), (1,), (2,)])
 T_PATH2 = validate_tree([(), (1,), (1, 1)])
 ZERO_FREE_5 = list(enumerate_trees(5, zero_free=True))
+ZERO_FREE_6 = list(enumerate_trees(6, zero_free=True))
 ZERO_FREE_7 = list(enumerate_trees(7, zero_free=True))
 
 
@@ -191,8 +195,6 @@ def test_extract_branch_rejects_losing_policy():
     # a policy that claims immediately at the root is not winning on a
     # tree whose root has a successor
     result = solve_reduction(T_PATH2)
-    from bcgames.reduction import _phase2_pins
-
     bad = dict(result.strategy.moves)
     bad.update(_phase2_pins(T_PATH2, (), 0))
     result.strategy.moves = bad
@@ -208,6 +210,16 @@ def test_branch_prefixes_satisfy_theta():
             prefix = report.f[:n]
             assert prefix in tree and tree.children(prefix)
         assert not tree.children(report.f)
+
+
+def test_phase2_pins_name_reachable_states():
+    # a pin on a state the game never reaches would silently pin nothing
+    for tree in ZERO_FREE_6:
+        reachable = retrograde(ReductionGame(tree))[0]
+        for node in tree:
+            for answer in [0] + [kid[-1] for kid in tree.children(node)]:
+                for state in _phase2_pins(tree, node, answer):
+                    assert state in reachable
 
 
 def test_cardinality_bound_examples():
