@@ -39,6 +39,9 @@ _MASK = (1 << 64) - 1
 
 SUITE_NAMES = ("oracle", "def34", "reduction", "bounds", "embedding")
 
+#: Seeded games the embedding suite draws per campaign.
+EMBEDDING_INSTANCES = 200
+
 
 class SplitMix64:
     """SplitMix64: a tiny, portable 64-bit generator with a fixed spec."""
@@ -287,13 +290,13 @@ def run_suite_bounds(cfg: CampaignConfig) -> SuiteResult:
     return result
 
 
-def run_suite_embedding(cfg: CampaignConfig, instances: int = 200) -> SuiteResult:
+def run_suite_embedding(cfg: CampaignConfig) -> SuiteResult:
     """Winner preservation through the {0,1} embedding plus certification
     of the pulled-back strategy, on seeded instances."""
     result = SuiteResult("embedding")
     corpus = list(enumerate_trees(min(cfg.max_size, 9)))
     rng = SplitMix64(cfg.seed ^ 0xE3BEDD1)
-    for i in range(instances):
+    for i in range(EMBEDDING_INSTANCES):
         tree = corpus[rng.below(len(corpus))]
         payoff = random_payoffs(tree, 1, cfg.seed + 7919 * i, depth=4)[0]
         game = game_for(tree, payoff)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .players import Player, mover_at
 from .trees import FiniteTree, Seq, parse_node
@@ -106,10 +107,11 @@ class ClopenAntichain:
     default: Player
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries))
+        ordered = tuple(sorted(self.entries, key=itemgetter(0)))
         object.__setattr__(self, "entries", ordered)
-        # In sorted order the extensions of an entry directly follow it,
-        # so comparing neighbours finds the first overlapping pair.
+        # In sorted order the extensions of an entry, and any repeat of its
+        # prefix, directly follow it, so comparing neighbours finds the
+        # first overlapping pair.
         for (p, _), (q, _) in zip(ordered, ordered[1:]):
             if _is_prefix(p, q):
                 raise OverlappingEntries(p, q)
@@ -197,22 +199,6 @@ def compile_diff(diff: DiffPayoff, tree: FiniteTree) -> ClopenAntichain:
         if len(node) == depth
     )
     return ClopenAntichain(entries, Player.II)
-
-
-def check_total(payoff: ClopenAntichain, tree: FiniteTree, depth: int) -> None:
-    """Walk every in-tree prefix at ``depth`` and require a unique verdict.
-
-    With an antichain plus default this is guaranteed, so the walk is a
-    validation pass: it rejects depths shallower than the payoff needs.
-    """
-    if depth < payoff.decision_depth:
-        raise UndecidedTranscript(
-            f"decision depth {depth} is shallower than the payoff's "
-            f"{payoff.decision_depth}"
-        )
-    for node in tree.sorted_nodes:
-        if len(node) == depth and payoff.decide(node) is None:
-            raise UndecidedTranscript(f"no verdict at depth-{depth} node {node!r}")
 
 
 CLOPEN_HEADER = "payoff clopen v1"

@@ -315,9 +315,7 @@ def _query_u0(game: ReductionGame, policy: ReductionPolicy, target: Seq) -> int:
     return st.u0
 
 
-def extract_branch(
-    tree: FiniteTree, policy: ReductionPolicy, max_steps: int | None = None
-) -> BranchReport:
+def extract_branch(tree: FiniteTree, policy: ReductionPolicy) -> BranchReport:
     """Read a branch out of a winning answer policy.
 
     Round n encodes t = f[:n] and records the policy's answer as f(n);
@@ -325,10 +323,9 @@ def extract_branch(
     which f[:n] has no successor left to offer.
     """
     game = build_reduction_game(tree)
-    limit = max_steps if max_steps is not None else tree.height + 1
     f: list[int] = []
     fail_index: int | None = None
-    for n in range(limit + 1):
+    for n in range(tree.height + 2):
         answer = _query_u0(game, policy, tuple(f))
         if answer == 0:
             if tree.children(tuple(f)):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .payoff import ClopenAntichain, PayoffError, check_total, outcome_psi
+from .payoff import ClopenAntichain, outcome_psi
 from .players import Player, mover_at
 from .strategy import (
     EXIT,
@@ -71,15 +71,13 @@ class Game:
     def __post_init__(self) -> None:
         if self.decision_depth < 0:
             raise UndecidedGame("decision depth must be non-negative")
-        try:
-            check_total(self.payoff, self.tree, self.decision_depth)
-        except PayoffError as exc:
-            raise UndecidedGame(str(exc)) from None
-
-    @property
-    def horizon(self) -> int:
-        """Ply count by which every play of this game is settled."""
-        return max(self.decision_depth, self.tree.height + 1)
+        # An antichain plus default decides every prefix at least as long as
+        # its longest entry, so only a shallower depth can leave a play open.
+        if self.decision_depth < self.payoff.decision_depth:
+            raise UndecidedGame(
+                f"decision depth {self.decision_depth} is shallower than the payoff's "
+                f"{self.payoff.decision_depth}"
+            )
 
     @property
     def initial(self) -> Seq:
@@ -351,8 +349,8 @@ class Def34Report:
         return self.regular_winner is self.restricted_winner
 
 
-def check_def3_def4(game: Game, cap: int = PAIR_CAP) -> Def34Report:
+def check_def3_def4(game: Game) -> Def34Report:
     """Compare the two determinacy readings on one game: regular
     strategies scored by the wrapped outcome versus restricted
     strategies scored literally."""
-    return Def34Report(def3_winner(game, cap), brute_force_oracle(game, cap))
+    return Def34Report(def3_winner(game), brute_force_oracle(game))

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .players import Player, mover_at, parse_player
-from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, parse_node_lines
+from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, child_index, parse_node_lines
 
 
 class StrategyError(Exception):
@@ -138,22 +138,18 @@ class RestrictedStrategy:
     nodes: frozenset[Seq]
 
     def __post_init__(self) -> None:
-        if () not in self.nodes:
+        nodes = self.nodes
+        if () not in nodes:
             raise StrategyError("a restricted strategy must contain the empty sequence")
-        for node in self.nodes:
-            if node and node[:-1] not in self.nodes:
-                raise MissingPrefix(node)
+        orphans = [node for node in nodes if node and node[:-1] not in nodes]
+        if orphans:
+            raise MissingPrefix(min(orphans))
 
     @cached_property
     def _children(self) -> dict[Seq, tuple[Seq, ...]]:
-        index: dict[Seq, list[Seq]] = {node: [] for node in self.nodes}
-        for node in self.nodes:
-            if node:
-                index[node[:-1]].append(node)
-        return {p: tuple(sorted(ks, key=lambda s: s[-1])) for p, ks in index.items()}
-
-    def children(self, node: Seq) -> tuple[Seq, ...]:
-        return self._children[node]
+        # Built on first use: the brute-force routes construct every
+        # strategy of a tree but walk only some of them.
+        return child_index(self.nodes)
 
     def choice_at(self, node: Seq) -> Seq | None:
         """The unique successor kept at an owner node, if any."""
@@ -192,18 +188,17 @@ def product_restricted(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Se
     """Maximal node of the single path the two subtrees share."""
     if sigma.owner is tau.owner:
         raise StrategyError("product expects strategies of opposite owners")
-    common = sigma.nodes & tau.nodes
+    # Both node sets are prefix closed, so a shared node off the path would
+    # give two shared continuations where it leaves the path.
+    index, other = sigma._children, tau.nodes
     node: Seq = ()
     while True:
-        kids = [c for c in common if len(c) == len(node) + 1 and c[: len(node)] == node]
+        kids = [c for c in index[node] if c in other]
         if not kids:
-            break
+            return node
         if len(kids) > 1:
             raise NotAPath(f"two continuations below {node!r}")
         node = kids[0]
-    if len(common) != len(node) + 1:
-        raise NotAPath("intersection has nodes off the joint path")
-    return node
 
 
 def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[RestrictedStrategy]:

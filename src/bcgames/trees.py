@@ -61,7 +61,12 @@ class FiniteTree:
     nodes: frozenset[Seq]
 
     def __post_init__(self) -> None:
-        _check_tree(self.nodes)
+        index = child_index(self.nodes)
+        if ROOT not in index:
+            raise TreeError("a tree must contain the empty sequence")
+        if max(map(len, index.values())) > 2:
+            raise TooManySuccessors(min(p for p, kids in index.items() if len(kids) > 2))
+        object.__setattr__(self, "_children", index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteTree):
@@ -87,14 +92,6 @@ class FiniteTree:
     def sorted_nodes(self) -> tuple[Seq, ...]:
         return tuple(sorted(self.nodes))
 
-    @cached_property
-    def _children(self) -> dict[Seq, tuple[Seq, ...]]:
-        index: dict[Seq, list[Seq]] = {node: [] for node in self.nodes}
-        for node in self.nodes:
-            if node:
-                index[node[:-1]].append(node)
-        return {parent: tuple(sorted(kids, key=lambda s: s[-1])) for parent, kids in index.items()}
-
     def children(self, node: Seq) -> tuple[Seq, ...]:
         """Immediate successors of ``node``, leftmost first."""
         try:
@@ -111,23 +108,30 @@ class FiniteTree:
         return max(len(node) for node in self.nodes)
 
 
-def _check_tree(nodes: frozenset[Seq]) -> None:
-    counts: dict[Seq, int] = {}
-    for node in sorted(nodes):
+def child_index(nodes: Iterable[Seq]) -> dict[Seq, tuple[Seq, ...]]:
+    """Each node's immediate successors, leftmost first, built in one
+    pass in any node order; a node whose immediate prefix is absent
+    raises ``MissingPrefix`` on the least such node."""
+    index: dict[Seq, tuple[Seq, ...]] = dict.fromkeys(nodes, ())
+    orphans = []
+    for node in index:
         if node:
-            if node[:-1] not in nodes:
-                raise MissingPrefix(node)
-            counts[node[:-1]] = counts.get(node[:-1], 0) + 1
-    if ROOT not in nodes:
-        raise TreeError("a tree must contain the empty sequence")
-    for parent in sorted(counts):
-        if counts[parent] > 2:
-            raise TooManySuccessors(parent)
+            parent = node[:-1]
+            kids = index.get(parent)
+            if kids is None:
+                orphans.append(node)
+            elif kids and kids[-1] > node:
+                index[parent] = tuple(sorted((*kids, node)))
+            else:
+                index[parent] = (*kids, node)
+    if orphans:
+        raise MissingPrefix(min(orphans))
+    return index
 
 
 def validate_tree(candidate: Iterable[Seq]) -> FiniteTree:
-    """Check prefix closure and the two-successor cap; raise on the first
-    offending node in sorted order."""
+    """Check prefix closure, then the root, then the two-successor cap;
+    closure and cap failures name the least offending node."""
     return FiniteTree(frozenset(tuple(node) for node in candidate))
 
 

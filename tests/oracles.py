@@ -2,18 +2,22 @@
 
 Each one restates a rule of the library in the most literal way
 available, so the tests can compare the library's fast paths against
-it: the exit rule read two ways, a clopen payoff read by scanning every
-entry, the settling prefix of a play, the four terminal rules of the
-reduction game applied to decoded pieces, a play scored move by move,
-and the reduction game's positions as an explicit tree.
+it: the tree rules checked in sorted order, the exit rule read two ways,
+a clopen payoff read by scanning every entry, the settling prefix of a
+play, the four terminal rules of the reduction game applied to decoded
+pieces, a play scored move by move, and the reduction game's positions
+as an explicit tree.  ``node_sets`` draws the inputs the tree rules
+are compared on.
 """
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from bcgames.players import Player, mover_at
 from bcgames.reduction import NotTerminal, ReductionError, ReductionGame
 from bcgames.solver import Game, UndecidedGame, step
-from bcgames.trees import FiniteTree, Seq
+from bcgames.trees import FiniteTree, MissingPrefix, Seq, TooManySuccessors, TreeError
 
 
 def exit_win_existential(tree: FiniteTree, x: Seq, player: Player) -> bool:
@@ -41,6 +45,40 @@ def exit_win_universal(tree: FiniteTree, x: Seq, player: Player) -> bool:
     return True
 
 
+def check_tree_by_sorting(nodes: frozenset[Seq]) -> None:
+    """The tree rules checked over the nodes in sorted order: the first
+    node whose immediate prefix is absent, then the root, then the first
+    parent counted with three or more successors."""
+    counts: dict[Seq, int] = {}
+    for node in sorted(nodes):
+        if node:
+            if node[:-1] not in nodes:
+                raise MissingPrefix(node)
+            counts[node[:-1]] = counts.get(node[:-1], 0) + 1
+    if () not in nodes:
+        raise TreeError("a tree must contain the empty sequence")
+    for parent in sorted(counts):
+        if counts[parent] > 2:
+            raise TooManySuccessors(parent)
+
+
+@st.composite
+def node_sets(draw) -> list[Seq]:
+    """Shuffled node lists with sparse labels in 1..999: a prefix-closed
+    core grown from the root, in which a parent may get three or more
+    successors, plus stray nodes that may lack their prefix, and now and
+    then no root."""
+    labels = st.integers(1, 999)
+    nodes = [()]
+    for _ in range(draw(st.integers(0, 24))):
+        nodes.append(draw(st.sampled_from(nodes)) + (draw(labels),))
+    if draw(st.booleans()):
+        nodes += draw(st.lists(st.lists(labels, min_size=1, max_size=4).map(tuple), max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        nodes.remove(())
+    return draw(st.permutations(sorted(set(nodes))))
+
+
 def first_overlap(entries) -> tuple[Seq, Seq] | None:
     """The first pair (p, q) of entry prefixes, in sorted order, with p a
     prefix of q, found by comparing every pair."""
@@ -62,6 +100,11 @@ def decide_by_scan(entries, default: Player, prefix: Seq) -> Player | None:
     if len(prefix) >= max((len(p) for p, _ in entries), default=0):
         return default
     return None
+
+
+def horizon(game: Game) -> int:
+    """Ply count by which every play of this game is settled."""
+    return max(game.decision_depth, game.tree.height + 1)
 
 
 def decided_prefix(game: Game, play: Seq) -> Seq:

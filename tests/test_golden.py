@@ -9,7 +9,11 @@ is left out there, because it counts the solver's states rather than
 anything about the game.  The state digest pins exactly that over the
 same corpus, together with every state of the winning policy in its
 insertion order and the position scan, so a change in how states are
-represented cannot change the game they describe.
+represented cannot change the game they describe.  The embed digest
+pins every byte of ``embed --json`` over the size <= 7 corpus relabelled
+with sparse drawn labels, under the exit payoff and two seeded campaign
+payoffs per tree, so that two-child parents order their successors by
+value and a lone child sits on either label.
 """
 
 import contextlib
@@ -18,14 +22,15 @@ import io
 import json
 
 from bcgames import cli
-from bcgames.lab import random_payoffs
+from bcgames.lab import SplitMix64, random_payoffs
 from bcgames.payoff import serialize_payoff
 from bcgames.reduction import build_reduction_game, scan_positions, solve_reduction
-from bcgames.trees import enumerate_trees, serialize_tree
+from bcgames.trees import FiniteTree, enumerate_trees, serialize_tree
 
 SOLVE_DIGEST = "7fa760ae4bd8aa2775bdeb31ea6832744086676ed5194ae5c9c0dccc06bcf8fe"
 REDUCE_DIGEST = "704293befd736b4d520ccd84bfe393c82f75552ad484ac4776e3d49b4051c5ea"
 STATE_DIGEST = "b1c79e344405e96e5fc454600863f5527c1b64e940d04a48f6b8138c3e2919e5"
+EMBED_DIGEST = "ad1875758ff8146ffab6b86d5bfe8a113d3d3e912d0f7090e004574add48d830"
 
 # Read by name, in declared order, so the digest does not depend on how
 # a state is stored.
@@ -64,6 +69,39 @@ def reduce_digest(workdir) -> str:
     return digest.hexdigest()
 
 
+def relabel(tree: FiniteTree, rng: SplitMix64) -> FiniteTree:
+    """The same shape with labels drawn from 1..999: each parent draws two
+    distinct labels, two successors take them in order, and a lone
+    successor takes either one."""
+    image = {(): ()}
+    for node in tree.sorted_nodes:
+        kids = tree.children(node)
+        if not kids:
+            continue
+        a, b = 1 + rng.below(999), 1 + rng.below(998)
+        labels = (min(a, b), max(a, b) + (b >= a))
+        if len(kids) == 1:
+            labels = (labels[rng.below(2)],)
+        for kid, label in zip(kids, labels):
+            image[kid] = image[node] + (label,)
+    return FiniteTree(frozenset(image.values()))
+
+
+def embed_digest(workdir) -> str:
+    tree_path, payoff_path = workdir / "tree.txt", workdir / "payoff.txt"
+    rng = SplitMix64(0xE3BED)
+    digest = hashlib.sha256()
+    for index, shape in enumerate(enumerate_trees(7)):
+        tree = relabel(shape, rng)
+        tree_path.write_text(serialize_tree(tree), encoding="utf-8")
+        digest.update(_stdout(["embed", "--tree", str(tree_path), "--json"]).encode())
+        for payoff in random_payoffs(tree, 2, seed=1 + index, depth=4):
+            payoff_path.write_text(serialize_payoff(payoff), encoding="utf-8")
+            argv = ["embed", "--tree", str(tree_path), "--payoff", str(payoff_path), "--json"]
+            digest.update(_stdout(argv).encode())
+    return digest.hexdigest()
+
+
 def state_digest() -> str:
     digest = hashlib.sha256()
     for tree in enumerate_trees(7, zero_free=True):
@@ -93,3 +131,7 @@ def test_reduce_payloads_match_golden_digest(tmp_path):
 
 def test_reduction_states_match_golden_digest():
     assert state_digest() == STATE_DIGEST
+
+
+def test_embed_payloads_match_golden_digest(tmp_path):
+    assert embed_digest(tmp_path) == EMBED_DIGEST

@@ -114,6 +114,10 @@ def test_dual_renderings_differ_only_before_exit():
 def test_antichain_rejects_overlap():
     with pytest.raises(OverlappingEntries):
         ClopenAntichain((((1,), Player.I), ((1, 2), Player.II)), Player.I)
+    # a repeated prefix overlaps itself, whichever winners the two name
+    with pytest.raises(OverlappingEntries) as err:
+        ClopenAntichain((((1,), Player.I), ((1,), Player.II)), Player.I)
+    assert str(err.value) == str(OverlappingEntries((1,), (1,)))
 
 
 def test_antichain_decide():
@@ -129,9 +133,9 @@ PREFIXES = st.lists(st.integers(0, 2), max_size=4).map(tuple)
 PLAYERS = st.sampled_from(Player)
 
 
-@given(st.dictionaries(PREFIXES, PLAYERS, max_size=8), PLAYERS)
-def test_antichain_overlap_check_matches_pairwise_oracle(winners, default):
-    entries = tuple(winners.items())
+@given(st.lists(st.tuples(PREFIXES, PLAYERS), max_size=8), PLAYERS)
+def test_antichain_overlap_check_matches_pairwise_oracle(entries, default):
+    entries = tuple(entries)
     overlap = first_overlap(entries)
     if overlap is None:
         ClopenAntichain(entries, default)

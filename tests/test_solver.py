@@ -23,7 +23,7 @@ from bcgames.strategy import (
 )
 from bcgames.payoff import outcome_psi
 from bcgames.trees import enumerate_trees, validate_tree
-from oracles import decided_prefix
+from oracles import decided_prefix, horizon
 
 CORPUS_5 = list(enumerate_trees(5))
 
@@ -136,7 +136,7 @@ def test_def3_matches_literal_pair_products():
         taus = list(enumerate_regular_quotient(game.tree, Player.II))
 
         def psi_wins(sigma, tau, player):
-            play = product_regular(sigma, tau, game.horizon, tree=game.tree)
+            play = product_regular(sigma, tau, horizon(game), tree=game.tree)
             settled = decided_prefix(game, play)
             return outcome_psi(game.tree, game.payoff, settled) is player
 
@@ -155,10 +155,10 @@ def test_conversion_soundness_small():
         regular = restricted_to_regular(result.strategy)
         owner = result.winner
         opponent_owner = owner.other
-        horizon = game.horizon
+        plies = horizon(game)
         for opponent in enumerate_regular_quotient(game.tree, opponent_owner):
             sigma, tau = (regular, opponent) if owner is Player.I else (opponent, regular)
-            play = product_regular(sigma, tau, horizon, tree=game.tree)
+            play = product_regular(sigma, tau, plies, tree=game.tree)
             settled = decided_prefix(game, play)
             assert outcome_psi(game.tree, game.payoff, settled) is owner
 

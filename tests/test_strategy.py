@@ -7,9 +7,11 @@ from bcgames.players import Player, mover_at
 from bcgames.strategy import (
     EXIT,
     MissingOpponentOption,
+    NotAPath,
     NotExactlyOne,
     RegularStrategy,
     RestrictedStrategy,
+    StrategyError,
     UndefinedAt,
     count_restricted,
     enumerate_regular_quotient,
@@ -23,7 +25,8 @@ from bcgames.strategy import (
     serialize_strategy,
     validate_restricted,
 )
-from bcgames.trees import enumerate_trees, validate_tree
+from bcgames.trees import MissingPrefix, enumerate_trees, validate_tree
+from oracles import node_sets
 
 T_FORK = validate_tree([(), (1,), (2,)])
 CORPUS_6 = list(enumerate_trees(6))
@@ -78,6 +81,36 @@ def test_product_restricted_examples():
         RestrictedStrategy(Player.I, frozenset({()})),
         RestrictedStrategy(Player.II, frozenset({()})),
     ) == ()
+
+
+def test_product_restricted_rejects_two_continuations():
+    fork = frozenset({(), (1,), (2,)})
+    with pytest.raises(NotAPath, match=r"two continuations below \(\)"):
+        product_restricted(RestrictedStrategy(Player.I, fork), RestrictedStrategy(Player.II, fork))
+    deep = frozenset({(), (1,), (1, 3), (1, 4)})
+    with pytest.raises(NotAPath, match=r"two continuations below \(1,\)"):
+        product_restricted(RestrictedStrategy(Player.II, deep), RestrictedStrategy(Player.I, deep))
+
+
+@given(node_sets())
+def test_restricted_strategy_checks_root_then_least_orphan(nodes):
+    node_set = frozenset(nodes)
+    orphans = sorted(n for n in nodes if n and n[:-1] not in node_set)
+    if () not in node_set:
+        with pytest.raises(StrategyError) as err:
+            RestrictedStrategy(Player.I, node_set)
+        assert type(err.value) is StrategyError
+    elif orphans:
+        with pytest.raises(MissingPrefix) as err:
+            RestrictedStrategy(Player.I, node_set)
+        assert err.value.node == orphans[0]
+    else:
+        # no successor cap: a restricted strategy is checked against a tree
+        # only by validate_restricted
+        strategy = RestrictedStrategy(Player.I, node_set)
+        for node in nodes:
+            kids = sorted(c for c in nodes if c and c[:-1] == node)
+            assert strategy.choice_at(node) == (kids[0] if len(kids) == 1 else None)
 
 
 def test_enumerate_restricted_examples():

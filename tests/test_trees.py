@@ -6,7 +6,9 @@ from bcgames.trees import (
     MissingPrefix,
     NodeNotInTree,
     TooManySuccessors,
+    TreeError,
     TreeSyntaxError,
+    child_index,
     enumerate_trees,
     is_zero_free,
     parse_tree,
@@ -15,6 +17,7 @@ from bcgames.trees import (
     validate_tree,
     zero_free_transform,
 )
+from oracles import check_tree_by_sorting, node_sets
 
 CORPUS_6 = list(enumerate_trees(6))
 
@@ -153,3 +156,32 @@ def test_children_sorted_leftmost_first(tree):
         kids = tree.children(node)
         labels = [c[-1] for c in kids]
         assert labels == sorted(labels)
+
+
+@given(node_sets())
+def test_constructor_matches_sorting_validator(nodes):
+    def literal_children(node):
+        return tuple(sorted(c for c in nodes if c and c[:-1] == node))
+
+    try:
+        check_tree_by_sorting(frozenset(nodes))
+    except TreeError as exc:
+        expected = exc
+    else:
+        expected = None
+    if isinstance(expected, MissingPrefix):
+        with pytest.raises(MissingPrefix) as err:
+            child_index(nodes)
+        assert err.value.node == expected.node
+    else:
+        assert child_index(nodes) == {node: literal_children(node) for node in nodes}
+    if expected is None:
+        tree = validate_tree(nodes)
+        for node in nodes:
+            assert tree.children(node) == literal_children(node)
+        return
+    with pytest.raises(TreeError) as err:
+        validate_tree(nodes)
+    assert type(err.value) is type(expected)
+    assert str(err.value) == str(expected)
+    assert getattr(err.value, "node", None) == getattr(expected, "node", None)
