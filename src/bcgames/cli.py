@@ -274,12 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # OSError: an input file that cannot be read or an --out file that
+    # cannot be written.
     try:
         return args.func(args)
-    except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (*_ERRORS, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,8 @@ who makes an illegal move loses on the spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .players import Player, mover_at
 from .solver import SolveResult, counterplay, retrograde, step
@@ -222,12 +222,6 @@ class Transcript:
     winner: Player | None = None
     rule: str | None = None
 
-    @property
-    def u(self) -> Seq | None:
-        if self.u0 is None:
-            return None
-        return (self.u0,) + (self.u_prime or ())
-
 
 def decode(game: ReductionGame, position: Seq) -> Transcript:
     """Replay a legal position and report the pieces built so far.
@@ -391,51 +385,22 @@ def horizon_bound(tree: FiniteTree) -> int:
     return 4 * (tree.height + 1) * 3 + 8
 
 
-def _phase2_pins(tree: FiniteTree, t: Seq, answer: int) -> dict[RState, int]:
-    """Pin player II's two phase-2 micro moves at ``t`` to produce
-    ``answer`` (0 for the claim)."""
-    kids = tree.children(t)
-    a_state = _phase2_entry(t)
-    if answer == 0:
-        a_move, b_move = 0, 0
-    elif kids and answer == kids[0][-1]:
-        a_move, b_move = answer, 0
-    elif len(kids) == 2 and answer == kids[1][-1]:
-        a_move, b_move = kids[0][-1], answer
-    else:
-        raise ReductionError(f"{answer} is not an available answer at {t!r}")
-    b_state = RState(2, MICRO_B, t, t, None, a_move, 0, None, 0)
-    return {a_state: a_move, b_state: b_move}
-
-
-@dataclass(frozen=True)
-class _PinnedGame(ReductionGame):
-    """The reduction game with some of its states restricted to one move."""
-
-    pins: Mapping[RState, int] = field(default_factory=dict)
-
-    def transitions(self, st: RState) -> tuple[tuple[int, RState], ...]:
-        trans = super().transitions(st)
-        pinned = self.pins.get(st)
-        return trans if pinned is None else tuple(t for t in trans if t[0] == pinned)
-
-
 def realizable_claim_traces(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
     """For every node taken as a claimed branch end, whether some winning
     answer policy follows that path and claims exactly there.
 
-    An extraction trace depends only on the phase-2 answers along its own
-    path, so pinning those and re-solving decides realizability for all
-    winning policies at once.
+    An extraction trace depends only on player II's phase-2 answers along
+    its own path: f(i) at f[:i] for each i, then the claim 0 at the node.
+    Phase 1 belongs to player I alone and no later state returns to phase
+    2, so some winning policy gives those answers iff player II wins the
+    game and wins every phase-3 state they lead to.  One solve decides
+    every node.
     """
-    build_reduction_game(tree)  # rejects a tree that uses the label 0
+    values, _ = retrograde(build_reduction_game(tree))
+    wins = values[_initial()] is Player.II
     for node in tree.sorted_nodes:
-        pins: dict[RState, int] = {}
-        for i in range(len(node)):
-            pins.update(_phase2_pins(tree, node[:i], node[i]))
-        pins.update(_phase2_pins(tree, node, 0))
-        values, _ = retrograde(_PinnedGame(tree, pins))
-        yield node, values[_initial()] is Player.II
+        answers = [(node[:i], node[i]) for i in range(len(node))] + [(node, 0)]
+        yield node, wins and all(values[_phase3_entry(t, a)] is Player.II for t, a in answers)
 
 
 def principal_play(game: ReductionGame, result: SolveResult) -> list[int]:

@@ -254,8 +254,10 @@ def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
     validate_restricted(game.tree, strategy.nodes, strategy.owner)
 
     def choose(node: Seq) -> int | None:
-        chosen = strategy.choice_at(node)
-        return None if chosen is None else chosen[-1]
+        # Validation leaves exactly one kept successor at every owner node
+        # the walk reaches.
+        kept = (child[-1] for child in game.tree.children(node) if child in strategy.nodes)
+        return next(kept, None)
 
     play = counterplay(game, strategy.owner, choose)
     return None if play is None else tuple(play)

@@ -19,12 +19,12 @@ at positions with no in-tree successor.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .players import Player, mover_at, parse_player
-from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, child_index, parse_node_lines
+from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, parse_node_lines
 
 
 class StrategyError(Exception):
@@ -145,17 +145,6 @@ class RestrictedStrategy:
         if orphans:
             raise MissingPrefix(min(orphans))
 
-    @cached_property
-    def _children(self) -> dict[Seq, tuple[Seq, ...]]:
-        # Built on first use: the brute-force routes construct every
-        # strategy of a tree but walk only some of them.
-        return child_index(self.nodes)
-
-    def choice_at(self, node: Seq) -> Seq | None:
-        """The unique successor kept at an owner node, if any."""
-        kids = self._children.get(node, ())
-        return kids[0] if len(kids) == 1 else None
-
 
 def validate_restricted(
     tree: FiniteTree, candidate: Iterable[Seq], owner: Player
@@ -188,17 +177,15 @@ def product_restricted(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Se
     """Maximal node of the single path the two subtrees share."""
     if sigma.owner is tau.owner:
         raise StrategyError("product expects strategies of opposite owners")
-    # Both node sets are prefix closed, so a shared node off the path would
-    # give two shared continuations where it leaves the path.
-    index, other = sigma._children, tau.nodes
-    node: Seq = ()
-    while True:
-        kids = [c for c in index[node] if c in other]
-        if not kids:
-            return node
-        if len(kids) > 1:
-            raise NotAPath(f"two continuations below {node!r}")
-        node = kids[0]
+    # Both node sets are prefix closed, so the shared nodes hold every
+    # prefix of the deepest one, and are a path exactly when that is all.
+    shared = sigma.nodes & tau.nodes
+    endpoint = max(shared, key=len)
+    if len(shared) == len(endpoint) + 1:
+        return endpoint
+    parents = Counter(node[:-1] for node in shared if node)
+    fork = min(parent for parent, kids in parents.items() if kids > 1)
+    raise NotAPath(f"two continuations below {fork!r}")
 
 
 def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[RestrictedStrategy]:
@@ -239,12 +226,11 @@ def count_restricted(tree: FiniteTree, owner: Player) -> int:
 def restricted_to_regular(strategy: RestrictedStrategy) -> RegularStrategy:
     """Positional form: the unique choice on the strategy's own nodes,
     0 everywhere else."""
-    moves: dict[Seq, int] = {}
+    kept: dict[Seq, list[int]] = {}
     for node in strategy.nodes:
-        if owner_moves_at(strategy.owner, node):
-            choice = strategy.choice_at(node)
-            if choice is not None:
-                moves[node] = choice[-1]
+        if node and owner_moves_at(strategy.owner, node[:-1]):
+            kept.setdefault(node[:-1], []).append(node[-1])
+    moves = {node: labels[0] for node, labels in kept.items() if len(labels) == 1}
     return RegularStrategy(strategy.owner, moves, default=0)
 
 

@@ -5,19 +5,32 @@ available, so the tests can compare the library's fast paths against
 it: the tree rules checked in sorted order, the exit rule read two ways,
 a clopen payoff read by scanning every entry, the settling prefix of a
 play, the four terminal rules of the reduction game applied to decoded
-pieces, a play scored move by move, and the reduction game's positions
-as an explicit tree.  ``node_sets`` draws the inputs the tree rules
-are compared on.
+pieces, a play scored move by move, the reduction game's positions as an
+explicit tree, claim traces decided by re-solving a pinned game, and the
+restricted product found by walking a child index.  ``node_sets`` draws
+the inputs the tree rules are compared on.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping
+
 from hypothesis import strategies as st
 
 from bcgames.players import Player, mover_at
-from bcgames.reduction import NotTerminal, ReductionError, ReductionGame
-from bcgames.solver import Game, UndecidedGame, step
-from bcgames.trees import FiniteTree, MissingPrefix, Seq, TooManySuccessors, TreeError
+from bcgames.reduction import (
+    MICRO_A,
+    MICRO_B,
+    NotTerminal,
+    ReductionError,
+    ReductionGame,
+    RState,
+    build_reduction_game,
+)
+from bcgames.solver import Game, UndecidedGame, retrograde, step
+from bcgames.strategy import NotAPath, RestrictedStrategy
+from bcgames.trees import FiniteTree, MissingPrefix, Seq, TooManySuccessors, TreeError, child_index
 
 
 def exit_win_existential(tree: FiniteTree, x: Seq, player: Player) -> bool:
@@ -100,6 +113,20 @@ def decide_by_scan(entries, default: Player, prefix: Seq) -> Player | None:
     if len(prefix) >= max((len(p) for p, _ in entries), default=0):
         return default
     return None
+
+
+def product_by_walk(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Seq:
+    """The shared path of two restricted strategies, followed from the
+    root through sigma's successors that tau keeps too."""
+    index = child_index(sigma.nodes)
+    node: Seq = ()
+    while True:
+        kids = [c for c in index[node] if c in tau.nodes]
+        if not kids:
+            return node
+        if len(kids) > 1:
+            raise NotAPath(f"two continuations below {node!r}")
+        node = kids[0]
 
 
 def horizon(game: Game) -> int:
@@ -198,3 +225,47 @@ def materialize_game_tree(game: ReductionGame) -> FiniteTree:
         for mv, nxt in game.transitions(st):
             stack.append((nxt, pos + (mv,)))
     return FiniteTree(frozenset(nodes))
+
+
+def phase2_pins(tree: FiniteTree, t: Seq, answer: int) -> dict[RState, int]:
+    """Pin player II's two phase-2 micro moves at ``t`` to produce
+    ``answer`` (0 for the claim)."""
+    kids = tree.children(t)
+    if answer == 0:
+        a_move, b_move = 0, 0
+    elif kids and answer == kids[0][-1]:
+        a_move, b_move = answer, 0
+    elif len(kids) == 2 and answer == kids[1][-1]:
+        a_move, b_move = kids[0][-1], answer
+    else:
+        raise ReductionError(f"{answer} is not an available answer at {t!r}")
+    a_state = RState(2, MICRO_A, t, t, None, None, 0, None, 0)
+    b_state = RState(2, MICRO_B, t, t, None, a_move, 0, None, 0)
+    return {a_state: a_move, b_state: b_move}
+
+
+@dataclass(frozen=True)
+class PinnedGame(ReductionGame):
+    """The reduction game with some of its states restricted to one move."""
+
+    pins: Mapping[RState, int] = field(default_factory=dict)
+
+    def transitions(self, st: RState) -> tuple[tuple[int, RState], ...]:
+        trans = super().transitions(st)
+        pinned = self.pins.get(st)
+        return trans if pinned is None else tuple(t for t in trans if t[0] == pinned)
+
+
+def realizable_by_pinning(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
+    """For every node, whether player II still wins once its phase-2
+    answers are pinned to follow the node and claim there: one re-solve
+    of the pinned game per node."""
+    build_reduction_game(tree)  # rejects a tree that uses the label 0
+    for node in tree.sorted_nodes:
+        pins: dict[RState, int] = {}
+        for i in range(len(node)):
+            pins.update(phase2_pins(tree, node[:i], node[i]))
+        pins.update(phase2_pins(tree, node, 0))
+        game = PinnedGame(tree, pins)
+        values, _ = retrograde(game)
+        yield node, values[game.initial] is Player.II

@@ -140,6 +140,23 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_file_errors_print_one_error_line(tree_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv in (
+        ["solve", "--tree", missing],
+        ["solve", "--tree", str(tmp_path)],
+        ["solve", "--tree", tree_file, "--payoff", missing],
+        ["embed", "--tree", tree_file, "--payoff", str(tmp_path)],
+        ["fmt", "--strategy", missing],
+        ["fmt", "--tree", tree_file, "--out", str(tmp_path / "no-dir" / "t.txt")],
+        ["lab", "--max-size", "1", "--suites", "oracle", "--out", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: "), argv
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["solve"])  # --tree is required

@@ -1,5 +1,6 @@
 import pytest
 
+from bcgames import reduction
 from bcgames.players import Player, mover_at
 from bcgames.reduction import (
     BranchReport,
@@ -8,7 +9,6 @@ from bcgames.reduction import (
     ReductionGame,
     StrategyNotWinning,
     ZeroLabeledTree,
-    _phase2_pins,
     build_reduction_game,
     check_cardinality_bound,
     decode,
@@ -26,6 +26,8 @@ from oracles import (
     apply_rules,
     encode_build_moves,
     materialize_game_tree,
+    phase2_pins,
+    realizable_by_pinning,
     terminal_outcome,
     terminal_winner,
 )
@@ -196,7 +198,7 @@ def test_extract_branch_rejects_losing_policy():
     # tree whose root has a successor
     result = solve_reduction(T_PATH2)
     bad = dict(result.strategy.moves)
-    bad.update(_phase2_pins(T_PATH2, (), 0))
+    bad.update(phase2_pins(T_PATH2, (), 0))
     result.strategy.moves = bad
     with pytest.raises(StrategyNotWinning):
         extract_branch(T_PATH2, result.strategy)
@@ -218,8 +220,22 @@ def test_phase2_pins_name_reachable_states():
         reachable = retrograde(ReductionGame(tree))[0]
         for node in tree:
             for answer in [0] + [kid[-1] for kid in tree.children(node)]:
-                for state in _phase2_pins(tree, node, answer):
+                for state in phase2_pins(tree, node, answer):
                     assert state in reachable
+
+
+def test_claim_traces_match_pinned_re_solve(monkeypatch):
+    solves = []
+
+    def counted(game):
+        solves.append(game)
+        return retrograde(game)
+
+    monkeypatch.setattr(reduction, "retrograde", counted)
+    for tree in ZERO_FREE_6:
+        del solves[:]
+        assert list(realizable_claim_traces(tree)) == list(realizable_by_pinning(tree))
+        assert len(solves) == 1
 
 
 def test_cardinality_bound_examples():

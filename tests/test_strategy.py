@@ -26,7 +26,7 @@ from bcgames.strategy import (
     validate_restricted,
 )
 from bcgames.trees import MissingPrefix, enumerate_trees, validate_tree
-from oracles import node_sets
+from oracles import node_sets, product_by_walk
 
 T_FORK = validate_tree([(), (1,), (2,)])
 CORPUS_6 = list(enumerate_trees(6))
@@ -92,6 +92,27 @@ def test_product_restricted_rejects_two_continuations():
         product_restricted(RestrictedStrategy(Player.II, deep), RestrictedStrategy(Player.I, deep))
 
 
+def prefix_closure(nodes) -> frozenset:
+    return frozenset(node[:i] for node in nodes for i in range(len(node) + 1))
+
+
+@given(node_sets(), node_sets(), st.data())
+def test_product_restricted_matches_index_walk(mine, theirs, data):
+    # tau keeps a random part of sigma's nodes, so the shared nodes range
+    # from the root alone to several forks at different depths
+    kept = data.draw(st.lists(st.sampled_from([()] + mine)))
+    sigma = RestrictedStrategy(Player.I, prefix_closure([()] + mine))
+    tau = RestrictedStrategy(Player.II, prefix_closure([()] + theirs + kept))
+    try:
+        expected = product_by_walk(sigma, tau)
+    except NotAPath as exc:
+        with pytest.raises(NotAPath) as err:
+            product_restricted(sigma, tau)
+        assert str(err.value) == str(exc)
+    else:
+        assert product_restricted(sigma, tau) == expected
+
+
 @given(node_sets())
 def test_restricted_strategy_checks_root_then_least_orphan(nodes):
     node_set = frozenset(nodes)
@@ -108,9 +129,13 @@ def test_restricted_strategy_checks_root_then_least_orphan(nodes):
         # no successor cap: a restricted strategy is checked against a tree
         # only by validate_restricted
         strategy = RestrictedStrategy(Player.I, node_set)
+        moves = restricted_to_regular(strategy).moves
         for node in nodes:
-            kids = sorted(c for c in nodes if c and c[:-1] == node)
-            assert strategy.choice_at(node) == (kids[0] if len(kids) == 1 else None)
+            kids = [c for c in nodes if c and c[:-1] == node]
+            if mover_at(len(node)) is Player.I and len(kids) == 1:
+                assert moves[node] == kids[0][-1]
+            else:
+                assert node not in moves
 
 
 def test_enumerate_restricted_examples():
@@ -147,10 +172,11 @@ def test_intersection_is_path_and_matches_stepwise_play(tree):
         node = ()
         while True:
             strat = sigma if mover_at(len(node)) is Player.I else tau
-            chosen = strat.choice_at(node)
-            if chosen is None:
+            kept = [child for child in tree.children(node) if child in strat.nodes]
+            if not kept:
                 break
-            node = chosen
+            assert len(kept) == 1
+            node = kept[0]
         assert node == endpoint
         for n in range(len(endpoint) + 1):
             assert endpoint[:n] in sigma.nodes and endpoint[:n] in tau.nodes
