@@ -50,9 +50,7 @@ from .strategy import (
     RestrictedStrategy,
     enumerate_restricted,
     parse_strategy,
-    product_regular,
     product_restricted,
-    restricted_to_regular,
     serialize_strategy,
     validate_restricted,
 )

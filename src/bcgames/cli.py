@@ -40,7 +40,9 @@ from .solver import (
     verify_winning,
 )
 from .strategy import StrategyError, parse_strategy, serialize_strategy
-from .trees import FiniteTree, TreeError, is_zero_free, parse_tree, serialize_tree, zero_free_transform
+from .trees import (
+    FiniteTree, TreeError, format_node, is_zero_free, parse_tree, serialize_tree, zero_free_transform
+)
 
 _ERRORS = (TreeError, PayoffError, StrategyError, SolverError, ReductionError, EmbeddingError)
 
@@ -168,7 +170,7 @@ def _cmd_embed(args) -> int:
     image = solve(pushed)
     pulled = pull_back_strategy(rho, image.strategy)
     payload = {
-        "pairs": {serialize_node(k): serialize_node(v) for k, v in sorted(rho.forward.items())},
+        "pairs": {format_node(k): format_node(v) for k, v in sorted(rho.forward.items())},
         "source_winner": source.winner.value,
         "range_winner": image.winner.value,
         "winners_agree": source.winner is image.winner,
@@ -181,10 +183,6 @@ def _cmd_embed(args) -> int:
         print(f"range winner:  {payload['range_winner']}")
         print(f"pull-back certified: {payload['pulled_strategy_certified']}")
     return 0
-
-
-def serialize_node(node) -> str:
-    return " ".join(map(str, node))
 
 
 def _cmd_fmt(args) -> int:

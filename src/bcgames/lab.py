@@ -113,6 +113,8 @@ class CampaignConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
+        if self.payoffs_per_tree < 1:  # the oracle and def34 suites would check nothing
+            raise ValueError(f"payoffs_per_tree must be at least 1, got {self.payoffs_per_tree}")
 
 
 @dataclass

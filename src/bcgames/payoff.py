@@ -19,7 +19,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .players import Player, mover_at
-from .trees import FiniteTree, Seq, parse_node
+from .trees import FiniteTree, Seq, format_node, parse_node
 
 
 class PayoffError(Exception):
@@ -208,7 +208,7 @@ DIFF_HEADER = "payoff diff v1"
 def serialize_payoff(payoff: ClopenAntichain) -> str:
     lines = [CLOPEN_HEADER]
     for prefix, winner in payoff.entries:
-        lines.append(f"{winner.value}: {' '.join(map(str, prefix))}".rstrip())
+        lines.append(f"{winner.value}: {format_node(prefix)}".rstrip())
     lines.append(f"default: {payoff.default.value}")
     return "\n".join(lines) + "\n"
 
@@ -217,7 +217,7 @@ def serialize_diff(diff: DiffPayoff) -> str:
     lines = [f"{DIFF_HEADER} k={len(diff.levels)}"]
     for i, level in enumerate(diff.levels, start=1):
         lines.append(f"level {i}:")
-        lines += [" ".join(map(str, g)) for g in sorted(level.generators)]
+        lines += [format_node(g) for g in sorted(level.generators)]
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,8 @@ ply, however tall the tree or long the play.
 Two independent brute-force routes cross-check the induction: one
 enumerates restricted strategies for both players and evaluates the
 joint play literally, the other enumerates quotiented regular
-strategies and scores each pair with the wrapped outcome.
+strategies and walks every opponent line against each, on the game
+graph of the wrapped outcome, with the same certificate walk.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class UndecidedGame(SolverError):
 
 
 class Infeasible(SolverError):
-    """The brute-force strategy space exceeds the configured cap."""
+    """The brute-force strategy space exceeds ``PAIR_CAP``."""
 
 
 #: Hard cap on strategy pairs explored by the brute-force routes.
@@ -93,8 +94,9 @@ class Game:
         return tuple([(child[-1], child) for child in self.tree.children(node)])
 
     def winner(self, node: Seq) -> Player:
-        """Winner at a node without moves."""
-        if len(node) == self.decision_depth:
+        """Winner where an in-tree play ends: the payoff at or past the
+        decision depth, else the opponent of the mover forced out."""
+        if len(node) >= self.decision_depth:
             return self.payoff.winner_at(node)
         return mover_at(len(node)).other
 
@@ -263,27 +265,21 @@ def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
     return None if play is None else tuple(play)
 
 
-def _endpoint_winner(game: Game, endpoint: Seq) -> Player:
-    if len(endpoint) >= game.decision_depth:
-        return game.payoff.winner_at(endpoint)
-    return mover_at(len(endpoint)).other
-
-
-def brute_force_oracle(game: Game, cap: int = PAIR_CAP) -> Player:
+def brute_force_oracle(game: Game) -> Player:
     """Winner by literal evaluation over all restricted strategy pairs.
 
-    Exact by construction: above the pair cap it refuses rather than
-    samples.
+    Exact by construction: above ``PAIR_CAP`` pairs it refuses rather
+    than samples.
     """
     tree = game.tree
     pairs = count_restricted(tree, Player.I) * count_restricted(tree, Player.II)
-    if pairs > cap:
-        raise Infeasible(f"{pairs} strategy pairs exceed the cap of {cap}")
+    if pairs > PAIR_CAP:
+        raise Infeasible(f"{pairs} strategy pairs exceed the cap of {PAIR_CAP}")
     sigmas = list(enumerate_restricted(tree, Player.I))
     taus = list(enumerate_restricted(tree, Player.II))
 
     def outcome(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Player:
-        return _endpoint_winner(game, product_restricted(sigma, tau))
+        return game.winner(product_restricted(sigma, tau))
 
     if any(all(outcome(s, t) is Player.I for t in taus) for s in sigmas):
         return Player.I
@@ -292,50 +288,52 @@ def brute_force_oracle(game: Game, cap: int = PAIR_CAP) -> Player:
     raise SolverError("neither player has a winning restricted strategy")
 
 
-def _wins_against_all(game: Game, strat: RegularStrategy, owner: Player) -> bool:
-    """Does ``strat`` beat every quotiented opponent under the wrapped
-    outcome?  Opponent behaviours are expanded move by move, which covers
-    the full assignment space: only on-path responses can matter."""
-    tree, payoff, depth = game.tree, game.payoff, game.decision_depth
+@dataclass(frozen=True)
+class WrappedGame:
+    """A game under the wrapped outcome, as a game graph: an in-tree node
+    short of the decision depth moves to its successors or off the tree by
+    the realized exit move; every other node ends the play for ``outcome_psi``."""
 
-    def walk(position: Seq) -> bool:
-        mover = mover_at(len(position))
-        if mover is owner:
-            move = strat.move_at(position)
-            if move is EXIT:
-                move = realize_exit(tree, position)
-            return settled(position + (move,))
-        for child in tree.children(position):
-            if not settled(child):
-                return False
-        return settled(position + (realize_exit(tree, position),))
+    game: Game
+    initial = ()
 
-    def settled(position: Seq) -> bool:
-        if position not in tree:
-            return outcome_psi(tree, payoff, position) is owner
-        if len(position) == depth:
-            return outcome_psi(tree, payoff, position) is owner
-        return walk(position)
+    def mover(self, node: Seq) -> Player:
+        return mover_at(len(node))
 
-    if depth == 0:
-        return outcome_psi(tree, payoff, ()) is owner
-    return walk(())
+    def transitions(self, node: Seq) -> tuple[tuple[int, Seq], ...]:
+        tree = self.game.tree
+        if node not in tree or len(node) >= self.game.decision_depth:
+            return ()
+        exit_move = realize_exit(tree, node)
+        moves = [(child[-1], child) for child in tree.children(node)]
+        return (*moves, (exit_move, node + (exit_move,)))
+
+    def winner(self, node: Seq) -> Player:
+        return outcome_psi(self.game.tree, self.game.payoff, node)
+
+    def certifies(self, strategy: RegularStrategy) -> bool:
+        """Does a quotiented regular strategy win every opponent line?
+        Only on-path responses matter, so this covers every opponent."""
+        tree = self.game.tree
+
+        def choose(node: Seq) -> int:
+            move = strategy.move_at(node)
+            return realize_exit(tree, node) if move is EXIT else move
+
+        return counterplay(self, strategy.owner, choose) is None
 
 
-def def3_winner(game: Game, cap: int = PAIR_CAP) -> Player:
+def def3_winner(game: Game) -> Player:
     """Winner under the wrapped-outcome semantics, by brute force over
     quotiented regular strategies.  Both players' searches are run and
     must disagree on exactly one winner."""
     tree = game.tree
     pairs = quotient_count(tree, Player.I) * quotient_count(tree, Player.II)
-    if pairs > cap:
-        raise Infeasible(f"{pairs} quotient pairs exceed the cap of {cap}")
-    one_wins = any(
-        _wins_against_all(game, s, Player.I) for s in enumerate_regular_quotient(tree, Player.I)
-    )
-    two_wins = any(
-        _wins_against_all(game, t, Player.II) for t in enumerate_regular_quotient(tree, Player.II)
-    )
+    if pairs > PAIR_CAP:
+        raise Infeasible(f"{pairs} quotient pairs exceed the cap of {PAIR_CAP}")
+    view = WrappedGame(game)
+    one_wins = any(map(view.certifies, enumerate_regular_quotient(tree, Player.I)))
+    two_wins = any(map(view.certifies, enumerate_regular_quotient(tree, Player.II)))
     if one_wins == two_wins:
         raise SolverError("quotient search found no unique winner")
     return Player.I if one_wins else Player.II

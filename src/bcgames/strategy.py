@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .players import Player, mover_at, parse_player
-from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, parse_node_lines
+from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, format_node, parse_node_lines
 
 
 class StrategyError(Exception):
@@ -76,10 +76,6 @@ EXIT = _ExitMove()
 Move = int | _ExitMove
 
 
-def owner_moves_at(owner: Player, node: Seq) -> bool:
-    return mover_at(len(node)) is owner
-
-
 def realize_exit(tree: FiniteTree, position: Seq) -> int:
     """Concrete number for the canonical off-tree move at a position."""
     if position not in tree:
@@ -102,32 +98,6 @@ class RegularStrategy:
         if self.default is None:
             raise UndefinedAt(position)
         return self.default
-
-
-def product_regular(
-    sigma: RegularStrategy,
-    tau: RegularStrategy,
-    horizon: int,
-    tree: FiniteTree | None = None,
-) -> Seq:
-    """The alternating play of the two strategies up to ``horizon`` plies.
-
-    Even plies come from ``sigma`` (player I), odd plies from ``tau``.
-    A ``tree`` is required whenever a strategy plays EXIT, to realize it
-    as a concrete number.
-    """
-    if sigma.owner is not Player.I or tau.owner is not Player.II:
-        raise StrategyError("product expects a player-I strategy and a player-II strategy")
-    play: list[int] = []
-    for ply in range(horizon):
-        strat = sigma if mover_at(ply) is Player.I else tau
-        move = strat.move_at(tuple(play))
-        if move is EXIT:
-            if tree is None:
-                raise StrategyError("EXIT move needs a tree to be realized")
-            move = realize_exit(tree, tuple(play))
-        play.append(move)
-    return tuple(play)
 
 
 @dataclass(frozen=True)
@@ -157,19 +127,22 @@ def validate_restricted(
     either player.
     """
     nodes = frozenset(tuple(n) for n in candidate)
-    for node in sorted(nodes):
-        if node not in tree:
-            raise NodeNotInTree(node)
+    strays = nodes - tree.nodes
+    if strays:
+        raise NodeNotInTree(min(strays))
     strategy = RestrictedStrategy(owner, nodes)
-    for node in sorted(nodes):
+    # Preorder, leftmost first, is sorted order: the least failing node raises.
+    stack: list[Seq] = [()]
+    while stack:
+        node = stack.pop()
         in_tree = tree.children(node)
         kept = [c for c in in_tree if c in nodes]
-        if owner_moves_at(owner, node):
+        if mover_at(len(node)) is owner:
             if in_tree and len(kept) != 1:
                 raise NotExactlyOne(node)
-        else:
-            if len(kept) != len(in_tree):
-                raise MissingOpponentOption(node)
+        elif len(kept) != len(in_tree):
+            raise MissingOpponentOption(node)
+        stack.extend(reversed(kept))
     return strategy
 
 
@@ -199,7 +172,7 @@ def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[Restricted
         options = [below.pop(child) for child in tree.children(node)]
         if not options:
             below[node] = [frozenset((node,))]
-        elif owner_moves_at(owner, node):
+        elif mover_at(len(node)) is owner:
             below[node] = [sub | {node} for subs in options for sub in subs]
         else:
             below[node] = [
@@ -217,25 +190,14 @@ def count_restricted(tree: FiniteTree, owner: Player) -> int:
         kids = tree.children(node)
         if len(kids) == 2:
             left, right = counts[kids[0]], counts[kids[1]]
-            counts[node] = left + right if owner_moves_at(owner, node) else left * right
+            counts[node] = left + right if mover_at(len(node)) is owner else left * right
         else:
             counts[node] = counts[kids[0]] if kids else 1
     return counts[()]
 
 
-def restricted_to_regular(strategy: RestrictedStrategy) -> RegularStrategy:
-    """Positional form: the unique choice on the strategy's own nodes,
-    0 everywhere else."""
-    kept: dict[Seq, list[int]] = {}
-    for node in strategy.nodes:
-        if node and owner_moves_at(strategy.owner, node[:-1]):
-            kept.setdefault(node[:-1], []).append(node[-1])
-    moves = {node: labels[0] for node, labels in kept.items() if len(labels) == 1}
-    return RegularStrategy(strategy.owner, moves, default=0)
-
-
 def quotient_positions(tree: FiniteTree, owner: Player) -> tuple[Seq, ...]:
-    return tuple(n for n in tree.sorted_nodes if owner_moves_at(owner, n))
+    return tuple(n for n in tree.sorted_nodes if mover_at(len(n)) is owner)
 
 
 def quotient_count(tree: FiniteTree, owner: Player) -> int:
@@ -260,7 +222,7 @@ STRATEGY_HEADER = "strategy v1"
 def serialize_strategy(strategy: RestrictedStrategy) -> str:
     """Canonical text form mirroring the tree format; the root is implicit."""
     lines = [f"{STRATEGY_HEADER} owner={strategy.owner.value}"]
-    lines += [" ".join(map(str, node)) for node in sorted(strategy.nodes) if node]
+    lines += [format_node(node) for node in sorted(strategy.nodes) if node]
     return "\n".join(lines) + "\n"
 
 

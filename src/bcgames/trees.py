@@ -200,8 +200,13 @@ TREE_HEADER = "tree v1"
 def serialize_tree(tree: FiniteTree) -> str:
     """Canonical text form: header line, then one non-root node per line."""
     lines = [TREE_HEADER]
-    lines += [" ".join(map(str, node)) for node in tree.sorted_nodes if node]
+    lines += [format_node(node) for node in tree.sorted_nodes if node]
     return "\n".join(lines) + "\n"
+
+
+def format_node(node: Seq) -> str:
+    """One node written as space-separated naturals, as ``parse_node`` reads it."""
+    return " ".join(map(str, node))
 
 
 def parse_node(text: str, lineno: int, error: Callable[[int, str], Exception]) -> Seq:

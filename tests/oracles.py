@@ -6,9 +6,12 @@ it: the tree rules checked in sorted order, the exit rule read two ways,
 a clopen payoff read by scanning every entry, the settling prefix of a
 play, the four terminal rules of the reduction game applied to decoded
 pieces, a play scored move by move, the reduction game's positions as an
-explicit tree, claim traces decided by re-solving a pinned game, and the
-restricted product found by walking a child index.  ``node_sets`` draws
-the inputs the tree rules are compared on.
+explicit tree, claim traces decided by re-solving a pinned game, the
+restricted product found by walking a child index, restricted strategies
+checked in sorted order, the alternating play of two regular strategies,
+a restricted strategy in positional form, and the def3 certificate as a
+recursive walk.  ``node_sets`` draws the inputs the tree rules are
+compared on; ``sparse_trees`` and ``messy_text`` draw the codecs' inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Iterator, Mapping
 
 from hypothesis import strategies as st
 
+from bcgames.payoff import outcome_psi
 from bcgames.players import Player, mover_at
 from bcgames.reduction import (
     MICRO_A,
@@ -29,8 +33,25 @@ from bcgames.reduction import (
     build_reduction_game,
 )
 from bcgames.solver import Game, UndecidedGame, retrograde, step
-from bcgames.strategy import NotAPath, RestrictedStrategy
-from bcgames.trees import FiniteTree, MissingPrefix, Seq, TooManySuccessors, TreeError, child_index
+from bcgames.strategy import (
+    EXIT,
+    MissingOpponentOption,
+    NotAPath,
+    NotExactlyOne,
+    RegularStrategy,
+    RestrictedStrategy,
+    StrategyError,
+    realize_exit,
+)
+from bcgames.trees import (
+    FiniteTree,
+    MissingPrefix,
+    NodeNotInTree,
+    Seq,
+    TooManySuccessors,
+    TreeError,
+    child_index,
+)
 
 
 def exit_win_existential(tree: FiniteTree, x: Seq, player: Player) -> bool:
@@ -92,6 +113,30 @@ def node_sets(draw) -> list[Seq]:
     return draw(st.permutations(sorted(set(nodes))))
 
 
+@st.composite
+def sparse_trees(draw) -> frozenset[Seq]:
+    """Node sets of binary choice trees with labels in 1..999, grown from
+    the root: a drawn parent with fewer than two successors gets one more,
+    on a label it does not use yet."""
+    nodes = [()]
+    for _ in range(draw(st.integers(0, 20))):
+        parent = draw(st.sampled_from(nodes))
+        taken = [n[-1] for n in nodes if n and n[:-1] == parent]
+        if len(taken) < 2:
+            nodes.append(parent + (draw(st.integers(1, 999).filter(lambda x: x not in taken)),))
+    return frozenset(nodes)
+
+
+@st.composite
+def messy_text(draw, header: str, lines: list[str]) -> str:
+    """``header``, then ``lines`` in a drawn order with blank and
+    whitespace-only lines drawn in between."""
+    body = list(draw(st.permutations(lines)))
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join([header, *body]) + "\n"
+
+
 def first_overlap(entries) -> tuple[Seq, Seq] | None:
     """The first pair (p, q) of entry prefixes, in sorted order, with p a
     prefix of q, found by comparing every pair."""
@@ -127,6 +172,98 @@ def product_by_walk(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Seq:
         if len(kids) > 1:
             raise NotAPath(f"two continuations below {node!r}")
         node = kids[0]
+
+
+def validate_restricted_by_sorting(
+    tree: FiniteTree, candidate, owner: Player
+) -> RestrictedStrategy:
+    """The two defining clauses checked over the nodes in sorted order:
+    first every node in the tree, then the root and prefix closure, then
+    the first node that keeps the wrong number of successors."""
+    nodes = frozenset(tuple(n) for n in candidate)
+    for node in sorted(nodes):
+        if node not in tree:
+            raise NodeNotInTree(node)
+    strategy = RestrictedStrategy(owner, nodes)
+    for node in sorted(nodes):
+        in_tree = tree.children(node)
+        kept = [c for c in in_tree if c in nodes]
+        if mover_at(len(node)) is owner:
+            if in_tree and len(kept) != 1:
+                raise NotExactlyOne(node)
+        else:
+            if len(kept) != len(in_tree):
+                raise MissingOpponentOption(node)
+    return strategy
+
+
+def product_regular(
+    sigma: RegularStrategy,
+    tau: RegularStrategy,
+    horizon: int,
+    tree: FiniteTree | None = None,
+) -> Seq:
+    """The alternating play of the two strategies up to ``horizon`` plies.
+
+    Even plies come from ``sigma`` (player I), odd plies from ``tau``.
+    A ``tree`` is required whenever a strategy plays EXIT, to realize it
+    as a concrete number.
+    """
+    if sigma.owner is not Player.I or tau.owner is not Player.II:
+        raise StrategyError("product expects a player-I strategy and a player-II strategy")
+    play: list[int] = []
+    for ply in range(horizon):
+        strat = sigma if mover_at(ply) is Player.I else tau
+        move = strat.move_at(tuple(play))
+        if move is EXIT:
+            if tree is None:
+                raise StrategyError("EXIT move needs a tree to be realized")
+            move = realize_exit(tree, tuple(play))
+        play.append(move)
+    return tuple(play)
+
+
+def restricted_to_regular(strategy: RestrictedStrategy) -> RegularStrategy:
+    """Positional form: the unique choice on the strategy's own nodes,
+    0 everywhere else."""
+    kept: dict[Seq, list[int]] = {}
+    for node in strategy.nodes:
+        if node and mover_at(len(node) - 1) is strategy.owner:
+            kept.setdefault(node[:-1], []).append(node[-1])
+    moves = {node: labels[0] for node, labels in kept.items() if len(labels) == 1}
+    return RegularStrategy(strategy.owner, moves, default=0)
+
+
+def wins_by_recursion(game: Game, strat: RegularStrategy, owner: Player) -> bool:
+    """Does ``strat`` beat every quotiented opponent under the wrapped
+    outcome?  A recursive walk: the owner's move is played, the
+    opponent's in-tree successors and its exit move are all tried, and
+    a play is scored once it leaves the tree or reaches the decision
+    depth."""
+    tree, payoff, depth = game.tree, game.payoff, game.decision_depth
+
+    def walk(position: Seq) -> bool:
+        mover = mover_at(len(position))
+        if mover is owner:
+            move = strat.move_at(position)
+            if move is EXIT:
+                move = realize_exit(tree, position)
+            return settled(position + (move,))
+        for child in tree.children(position):
+            if not settled(child):
+                return False
+        return settled(position + (realize_exit(tree, position),))
+
+    def settled(position: Seq) -> bool:
+        if position not in tree:
+            return outcome_psi(tree, payoff, position) is owner
+        if len(position) == depth:
+            return outcome_psi(tree, payoff, position) is owner
+        return walk(position)
+
+    if depth == 0:
+        return outcome_psi(tree, payoff, ()) is owner
+    return walk(())
 
 
 def horizon(game: Game) -> int:

@@ -59,6 +59,20 @@ def test_campaign_rejects_unknown_suite():
         CampaignConfig(suites=("oracle", "bogus"))
 
 
+@pytest.mark.parametrize("payoffs", ["0", "-1"])
+def test_lab_without_payoffs_is_an_error(payoffs, tmp_path, capsys):
+    # with no payoffs the oracle and def34 suites would check nothing and pass
+    with pytest.raises(ValueError):
+        CampaignConfig(payoffs_per_tree=int(payoffs))
+    out = tmp_path / "report.txt"
+    argv = ["lab", "--max-size", "3", "--payoffs-per-tree", payoffs, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_replay_counterexample_reproduces_outcome():
     payoff = random_payoffs(T_FORK, 1, seed=3, depth=2)[0]
     record = {"tree": serialize_tree(T_FORK), "payoff": serialize_payoff(payoff)}

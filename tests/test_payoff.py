@@ -19,7 +19,13 @@ from bcgames.payoff import (
 )
 from bcgames.players import Player
 from bcgames.trees import enumerate_trees, validate_tree
-from oracles import decide_by_scan, exit_win_existential, exit_win_universal, first_overlap
+from oracles import (
+    decide_by_scan,
+    exit_win_existential,
+    exit_win_universal,
+    first_overlap,
+    messy_text,
+)
 
 T_CHAIN = validate_tree([(), (1,)])
 CORPUS_5 = list(enumerate_trees(5))
@@ -179,6 +185,46 @@ def test_diff_codec_round_trip():
     diff = DiffPayoff((OpenSet(frozenset({(1,), (2, 2)})), OpenSet(frozenset({(1, 2)}))))
     text = serialize_diff(diff)
     assert parse_payoff(text) == diff
+
+
+SPARSE = st.lists(st.integers(1, 999), max_size=4).map(tuple)
+
+
+def write(node) -> str:
+    return " ".join(map(str, node))
+
+
+@given(st.lists(SPARSE, max_size=6), st.data())
+def test_clopen_codec_canonical_from_messy_text(prefixes, data):
+    # in sorted order a prefix comes before its extensions, so keeping
+    # each prefix that extends no kept one leaves an antichain
+    kept: list = []
+    for p in sorted(set(prefixes)):
+        if not any(p[: len(q)] == q for q in kept):
+            kept.append(p)
+    entries = tuple((p, data.draw(PLAYERS)) for p in kept)
+    default = data.draw(PLAYERS)
+    lines = [f"{w.value}: {write(p)}".rstrip() for p, w in entries] + [f"default: {default.value}"]
+    canonical = "\n".join(["payoff clopen v1", *lines]) + "\n"
+    parsed = parse_payoff(data.draw(messy_text("payoff clopen v1", lines)))
+    assert parsed == ClopenAntichain(entries, default)
+    assert serialize_payoff(parsed) == canonical
+    assert parse_payoff(canonical) == parsed
+
+
+# The empty generator is left out: it would be written as a blank line,
+# which the parser skips.
+@given(st.lists(st.frozensets(SPARSE.filter(bool), max_size=5), min_size=1, max_size=3), st.data())
+def test_diff_codec_canonical_from_messy_text(levels, data):
+    header = f"payoff diff v1 k={len(levels)}"
+    blocks = [(f"level {i}:", [write(g) for g in sorted(gens)]) for i, gens in enumerate(levels, 1)]
+    body = [line for head, lines in blocks for line in [head, *lines]]
+    canonical = "\n".join([header, *body]) + "\n"
+    messy = header + "\n" + "".join(data.draw(messy_text(head, lines)) for head, lines in blocks)
+    parsed = parse_payoff(messy)
+    assert parsed == DiffPayoff(tuple(OpenSet(gens) for gens in levels))
+    assert serialize_diff(parsed) == canonical
+    assert parse_payoff(canonical) == parsed
 
 
 def test_payoff_codec_errors():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bcgames.embedding import build_rho, pull_back_strategy, push_game
@@ -5,9 +7,11 @@ from bcgames.lab import game_for, random_payoffs
 from bcgames.payoff import ClopenAntichain
 from bcgames.players import Player, mover_at
 from bcgames.solver import (
+    PAIR_CAP,
     Game,
     Infeasible,
     UndecidedGame,
+    WrappedGame,
     brute_force_oracle,
     check_def3_def4,
     def3_winner,
@@ -16,14 +20,20 @@ from bcgames.solver import (
     verify_winning,
 )
 from bcgames.strategy import (
+    count_restricted,
     enumerate_regular_quotient,
-    product_regular,
-    restricted_to_regular,
+    quotient_count,
     validate_restricted,
 )
 from bcgames.payoff import outcome_psi
 from bcgames.trees import enumerate_trees, validate_tree
-from oracles import decided_prefix, horizon
+from oracles import (
+    decided_prefix,
+    horizon,
+    product_regular,
+    restricted_to_regular,
+    wins_by_recursion,
+)
 
 CORPUS_5 = list(enumerate_trees(5))
 
@@ -80,11 +90,26 @@ def test_oracle_examples():
 
 
 def test_oracle_infeasible_cap():
-    tree = validate_tree([(), (1,), (2,)])
-    with pytest.raises(Infeasible):
-        brute_force_oracle(exit_game(tree), cap=1)
-    with pytest.raises(Infeasible):
-        def3_winner(exit_game(tree), cap=1)
+    # the complete depth-6 {0,1} tree is past the cap for both routes
+    tree = validate_tree([node for n in range(7) for node in itertools.product((0, 1), repeat=n)])
+    assert len(tree) == 127
+    restricted = count_restricted(tree, Player.I) * count_restricted(tree, Player.II)
+    quotient = quotient_count(tree, Player.I) * quotient_count(tree, Player.II)
+    assert restricted == 2_097_152 and quotient > 10**30
+    assert PAIR_CAP < restricted < quotient
+    with pytest.raises(Infeasible, match=f"^{restricted} strategy pairs exceed the cap of {PAIR_CAP}$"):
+        brute_force_oracle(exit_game(tree))
+    with pytest.raises(Infeasible, match=f"^{quotient} quotient pairs exceed the cap of {PAIR_CAP}$"):
+        def3_winner(exit_game(tree))
+
+
+def test_game_winner_scores_plays_past_the_decision_depth():
+    # a restricted strategy pair may end below the decision depth, where
+    # the payoff still decides
+    full2 = validate_tree([(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)])
+    game = Game(full2, ClopenAntichain((((0,), Player.I), ((1,), Player.II)), Player.II), 1)
+    assert [game.winner(node) for node in [(0,), (0, 1), (1, 0)]] == [Player.I, Player.I, Player.II]
+    assert exit_game(validate_tree([(), (1,)])).winner((1,)) is Player.I  # II is forced out
 
 
 def test_solver_agrees_with_oracle_on_small_corpus():
@@ -145,6 +170,22 @@ def test_def3_matches_literal_pair_products():
         assert one != two
         literal = Player.I if one else Player.II
         assert def3_winner(game) is literal
+
+
+def test_def3_certificate_matches_recursive_walk():
+    # the shared certificate walk on the wrapped game graph gives the
+    # recursive walk's verdict on every quotient strategy of both owners
+    verdicts = set()
+    for tree in enumerate_trees(4):
+        games = [exit_game(tree)] + [game_for(tree, p) for p in random_payoffs(tree, 3, 7, 3)]
+        for game in games:
+            view = WrappedGame(game)
+            for owner in (Player.I, Player.II):
+                for strat in enumerate_regular_quotient(tree, owner):
+                    verdict = view.certifies(strat)
+                    assert verdict is wins_by_recursion(game, strat, owner)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_conversion_soundness_small():

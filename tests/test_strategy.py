@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bcgames.players import Player, mover_at
 from bcgames.strategy import (
@@ -17,16 +17,22 @@ from bcgames.strategy import (
     enumerate_regular_quotient,
     enumerate_restricted,
     parse_strategy,
-    product_regular,
     product_restricted,
     quotient_count,
     realize_exit,
-    restricted_to_regular,
     serialize_strategy,
     validate_restricted,
 )
-from bcgames.trees import MissingPrefix, enumerate_trees, validate_tree
-from oracles import node_sets, product_by_walk
+from bcgames.trees import MissingPrefix, TreeError, enumerate_trees, validate_tree
+from oracles import (
+    messy_text,
+    node_sets,
+    product_by_walk,
+    product_regular,
+    restricted_to_regular,
+    sparse_trees,
+    validate_restricted_by_sorting,
+)
 
 T_FORK = validate_tree([(), (1,), (2,)])
 CORPUS_6 = list(enumerate_trees(6))
@@ -64,6 +70,48 @@ def test_validate_restricted_examples():
         validate_restricted(T_FORK, [(), (1,), (2,)], Player.I)
     with pytest.raises(MissingOpponentOption):
         validate_restricted(T_FORK, [(), (1,)], Player.II)
+    # both of player II's nodes keep two successors: the least one is named
+    full2 = validate_tree([(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)])
+    with pytest.raises(NotExactlyOne) as err:
+        validate_restricted(full2, full2.nodes, Player.II)
+    assert err.value.node == (1,)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(CORPUS_6), st.sampled_from([Player.I, Player.II]), st.data())
+def test_validate_restricted_matches_sorted_reference(tree, owner, data):
+    # A valid strategy, or a drawn prefix-closed part of the tree in which
+    # opponent nodes keep every successor and owner nodes each one with
+    # odds 1 in 4, so that owner nodes fail in several subtrees at once.
+    # Then drawn edits: dropping a node loses a successor and orphans what
+    # lies below it (or drops the root), adding a tree node gives an owner
+    # an extra successor or adds an orphan, and a drawn sequence may lie
+    # off the tree.
+    if data.draw(st.booleans()):
+        nodes = set(data.draw(st.sampled_from(list(enumerate_restricted(tree, owner)))).nodes)
+    else:
+        nodes = {()}
+        for node in tree.sorted_nodes[1:]:
+            owner_kid = mover_at(len(node) - 1) is owner
+            if node[:-1] in nodes and (not owner_kid or data.draw(st.integers(0, 3)) == 0):
+                nodes.add(node)
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(["drop", "add", "stray"]))
+        if edit == "drop" and nodes:
+            nodes.discard(data.draw(st.sampled_from(sorted(nodes))))
+        elif edit == "add":
+            nodes.add(data.draw(st.sampled_from(tree.sorted_nodes)))
+        elif edit == "stray":
+            nodes.add(tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))))
+    candidate = data.draw(st.permutations(sorted(nodes)))
+
+    def outcome(validate):
+        try:
+            return validate(tree, candidate, owner).nodes
+        except (StrategyError, TreeError) as exc:
+            return type(exc), getattr(exc, "node", None), str(exc)
+
+    assert outcome(validate_restricted) == outcome(validate_restricted_by_sorting)
 
 
 def test_product_restricted_examples():
@@ -204,6 +252,17 @@ def test_quotient_enumeration_size():
         for owner in (Player.I, Player.II):
             got = list(enumerate_regular_quotient(tree, owner))
             assert len(got) == quotient_count(tree, owner)
+
+
+@given(sparse_trees(), st.sampled_from([Player.I, Player.II]), st.data())
+def test_strategy_codec_canonical_from_messy_text(nodes, owner, data):
+    header = f"strategy v1 owner={owner.value}"
+    lines = [" ".join(map(str, node)) for node in sorted(nodes) if node]
+    canonical = "\n".join([header, *lines]) + "\n"
+    parsed = parse_strategy(data.draw(messy_text(header, lines)))
+    assert (parsed.owner, parsed.nodes) == (owner, nodes)
+    assert serialize_strategy(parsed) == canonical
+    assert parse_strategy(canonical) == parsed
 
 
 def test_strategy_codec_round_trip():

@@ -17,7 +17,7 @@ from bcgames.trees import (
     validate_tree,
     zero_free_transform,
 )
-from oracles import check_tree_by_sorting, node_sets
+from oracles import check_tree_by_sorting, messy_text, node_sets, sparse_trees
 
 CORPUS_6 = list(enumerate_trees(6))
 
@@ -140,6 +140,16 @@ def test_codec_round_trip(tree):
     text = serialize_tree(tree)
     assert parse_tree(text) == tree
     assert serialize_tree(parse_tree(text)) == text
+
+
+@given(sparse_trees(), st.data())
+def test_codec_canonical_from_messy_text(nodes, data):
+    lines = [" ".join(map(str, node)) for node in sorted(nodes) if node]
+    canonical = "\n".join(["tree v1", *lines]) + "\n"
+    parsed = parse_tree(data.draw(messy_text("tree v1", lines)))
+    assert parsed.nodes == nodes
+    assert serialize_tree(parsed) == canonical
+    assert parse_tree(canonical) == parsed
 
 
 @given(st.sampled_from(CORPUS_6), st.data())
