@@ -213,11 +213,15 @@ def serialize_payoff(payoff: ClopenAntichain) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The empty generator, which a node line would write as a blank line.
+EMPTY_GENERATOR = "()"
+
+
 def serialize_diff(diff: DiffPayoff) -> str:
     lines = [f"{DIFF_HEADER} k={len(diff.levels)}"]
     for i, level in enumerate(diff.levels, start=1):
         lines.append(f"level {i}:")
-        lines += [format_node(g) for g in sorted(level.generators)]
+        lines += [format_node(g) or EMPTY_GENERATOR for g in sorted(level.generators)]
     return "\n".join(lines) + "\n"
 
 
@@ -289,7 +293,10 @@ def _parse_diff(lines: list[str], header: str) -> DiffPayoff:
             continue
         if not levels:
             raise PayoffSyntaxError(lineno, "generator line before any 'level' line")
-        levels[-1].add(parse_node(line, lineno, PayoffSyntaxError))
+        if line == EMPTY_GENERATOR:
+            levels[-1].add(())
+        else:
+            levels[-1].add(parse_node(line, lineno, PayoffSyntaxError))
     if len(levels) != k:
         raise PayoffSyntaxError(len(lines), f"header promised k={k} levels, found {len(levels)}")
     return DiffPayoff(tuple(OpenSet(frozenset(g)) for g in levels))

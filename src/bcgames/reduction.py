@@ -79,7 +79,7 @@ class RState(NamedTuple):
     t: Seq | None  # fixed at the end of phase 1, dropped entering phase 4
     u0: int | None  # fixed at the end of phase 2, dropped entering phase 4
     a2: int | None  # pending first micro move of phase 2
-    v_len: int
+    v_len: int  # from phase 4 on, in the canonical form ``_phase4`` builds
     v0_ok: bool | None  # v starts with u0; None while v is empty
     u_len: int
     winner: Player | None = None  # set on terminal states only
@@ -107,9 +107,17 @@ def _phase3_entry(t: Seq, u0: int) -> RState:
     return RState(3, CTRL, t, t, u0, None, 0, None, 0)
 
 
-def _phase4_entry(t: Seq, u0: int, v_len: int, v0_ok: bool | None) -> RState:
-    u_node = t + (u0,) if u0 != 0 else None
-    return RState(4, CTRL, u_node, None, None, None, v_len, v0_ok, 1)
+def _phase4(step: str, cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+    """A phase-4 state in canonical form.
+
+    The terminal rules read only whether rule 2 is settled, whether
+    ``cur`` is None and whether ``v_len <= u_len``, and ``u_len`` only
+    grows.  So a settled state keeps no lengths, and an unsettled one
+    keeps only how far u is behind v, clamped at zero once u has caught
+    up; states that agree on these share their future."""
+    if v_len == 0 or v0_ok:
+        return RState(4, step, cur, None, None, None, 0, None, 0)
+    return RState(4, step, cur, None, None, None, max(v_len - u_len, 0) + 1, False, 1)
 
 
 def _terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
@@ -159,7 +167,7 @@ class ReductionGame:
             if phase == 1:
                 end = _phase2_entry(cur)
             elif phase == 3:
-                end = _phase4_entry(t, u0, v_len, v0_ok)
+                end = _phase4(CTRL, t + (u0,) if u0 else None, v_len, v0_ok, 1)
             else:
                 end = _terminal(cur, v_len, v0_ok, u_len)
             if cur is not None and tree.children(cur):
@@ -199,7 +207,7 @@ class ReductionGame:
             if not v_len:
                 v0_ok = child[-1] == u0
             return RState(3, IDLE_B, child, t, u0, a2, v_len + 1, v0_ok, u_len)
-        return RState(4, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len + 1)
+        return _phase4(IDLE_B, child, v_len, v0_ok, u_len + 1)
 
 
 def build_reduction_game(tree: FiniteTree) -> ReductionGame:
@@ -246,7 +254,7 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
                 out.v = ()
             if out.u_prime is None:
                 out.u_prime = ()
-            if st.phase == 4 and nxt.u_len > st.u_len:
+            if st.phase == 4 and st.step == MICRO_B:
                 out.u_prime = out.u_prime + (nxt.cur[-1],)
         st = nxt
     if st.phase == 1:
@@ -354,29 +362,48 @@ class ScanStats:
 
 
 def scan_positions(game: ReductionGame) -> ScanStats:
-    """Exhaustive walk of every legal position.
+    """Count every legal position, and the longest play, over the states.
 
-    Asserts along the way that the mover dictated by the state machine
-    matches the mover dictated by ply parity.
+    The legal move sequences are exactly the paths of the state graph
+    from ``game.initial``, so one post-order pass counts them: a state
+    heads one more path than its successors together, and the longest
+    play from it is one ply longer than theirs.  Along the way it checks
+    that no state is met at both ply parities, and that the mover the
+    state machine dictates matches the mover that parity dictates.
     """
-    positions = 0
-    max_length = 0
+    transitions, mover = game.transitions, game.mover
     max_moves = 0
-    stack: list[tuple[RState, int]] = [(game.initial, 0)]
+    # state -> (ply parity, paths from it, longest play from it), stored
+    # once its successors are counted; the graph is acyclic, so a state
+    # is never met again before that.
+    seen: dict = {}
+    stack: list = [(game.initial, 0, None)]
     while stack:
-        st, depth = stack.pop()
-        positions += 1
-        if depth > max_length:
-            max_length = depth
-        trans = game.transitions(st)
-        if not trans:
-            continue
-        if game.mover(st) is not mover_at(depth):
-            raise ReductionError(f"mover parity broken at depth {depth}: {st!r}")
-        if len(trans) > max_moves:
-            max_moves = len(trans)
-        for _, nxt in trans:
-            stack.append((nxt, depth + 1))
+        st, parity, trans = stack.pop()
+        if trans is None:
+            known = seen.get(st)
+            if known is not None:
+                if known[0] != parity:
+                    raise ReductionError(f"state met at both ply parities: {st!r}")
+                continue
+            trans = transitions(st)
+            if not trans:
+                seen[st] = (parity, 1, 0)
+                continue
+            if mover(st) is not mover_at(parity):
+                raise ReductionError(f"mover parity broken at ply parity {parity}: {st!r}")
+            if len(trans) > max_moves:
+                max_moves = len(trans)
+            stack.append((st, parity, trans))
+            stack.extend([(nxt, 1 - parity, None) for _, nxt in trans])
+        elif len(trans) == 1:  # a forced move, as at every idle step
+            _, paths, longest = seen[trans[0][1]]
+            seen[st] = (parity, paths + 1, longest + 1)
+        else:
+            kids = [seen[nxt] for _, nxt in trans]
+            paths = 1 + sum([kid[1] for kid in kids])
+            seen[st] = (parity, paths, 1 + max([kid[2] for kid in kids]))
+    _, positions, max_length = seen[game.initial]
     return ScanStats(positions, max_length, max_moves)
 
 

@@ -9,9 +9,14 @@ pieces, a play scored move by move, the reduction game's positions as an
 explicit tree, claim traces decided by re-solving a pinned game, the
 restricted product found by walking a child index, restricted strategies
 checked in sorted order, the alternating play of two regular strategies,
-a restricted strategy in positional form, and the def3 certificate as a
-recursive walk.  ``node_sets`` draws the inputs the tree rules are
-compared on; ``sparse_trees`` and ``messy_text`` draw the codecs' inputs.
+a restricted strategy in positional form, the def3 certificate as a
+recursive walk, the reduction game with both phase-4 lengths kept
+(``FullReductionGame``) and the map from its states to the quotiented
+ones, the position scan as a walk of every position, and the paper's
+height argument as the leftmost deepest branch.  ``node_sets`` draws the
+inputs the tree rules are compared on; ``sparse_trees`` and
+``messy_text`` draw the codecs' inputs; ``relabel`` gives a shape seeded
+sparse labels.
 """
 
 from __future__ import annotations
@@ -21,15 +26,25 @@ from typing import Iterator, Mapping
 
 from hypothesis import strategies as st
 
+from bcgames.lab import SplitMix64
 from bcgames.payoff import outcome_psi
 from bcgames.players import Player, mover_at
 from bcgames.reduction import (
+    _NEXT_AFTER_IDLE,
+    CTRL,
+    DONE,
+    IDLE_A,
+    IDLE_B,
+    IDLE_CTRL,
     MICRO_A,
     MICRO_B,
     NotTerminal,
     ReductionError,
     ReductionGame,
     RState,
+    ScanStats,
+    _phase2_entry,
+    _phase3_entry,
     build_reduction_game,
 )
 from bcgames.solver import Game, UndecidedGame, retrograde, step
@@ -125,6 +140,24 @@ def sparse_trees(draw) -> frozenset[Seq]:
         if len(taken) < 2:
             nodes.append(parent + (draw(st.integers(1, 999).filter(lambda x: x not in taken)),))
     return frozenset(nodes)
+
+
+def relabel(tree: FiniteTree, rng: SplitMix64) -> FiniteTree:
+    """The same shape with labels drawn from 1..999: each parent draws two
+    distinct labels, two successors take them in order, and a lone
+    successor takes either one."""
+    image = {(): ()}
+    for node in tree.sorted_nodes:
+        kids = tree.children(node)
+        if not kids:
+            continue
+        a, b = 1 + rng.below(999), 1 + rng.below(998)
+        labels = (min(a, b), max(a, b) + (b >= a))
+        if len(kids) == 1:
+            labels = (labels[rng.below(2)],)
+        for kid, label in zip(kids, labels):
+            image[kid] = image[node] + (label,)
+    return FiniteTree(frozenset(image.values()))
 
 
 @st.composite
@@ -406,3 +439,135 @@ def realizable_by_pinning(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
         game = PinnedGame(tree, pins)
         values, _ = retrograde(game)
         yield node, values[game.initial] is Player.II
+
+
+def _full_phase4_entry(t: Seq, u0: int, v_len: int, v0_ok: bool | None) -> RState:
+    u_node = t + (u0,) if u0 != 0 else None
+    return RState(4, CTRL, u_node, None, None, None, v_len, v0_ok, 1)
+
+
+def _full_terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+    if v_len == 0 or v0_ok:
+        winner, rule = Player.II, "rule2"
+    elif cur is None:
+        winner, rule = Player.I, "rule3"
+    elif v_len <= u_len:
+        winner, rule = Player.II, "rule4"
+    else:
+        winner, rule = Player.I, "rule4"
+    return RState(5, DONE, None, None, None, None, v_len, v0_ok, u_len, winner, rule)
+
+
+@dataclass(frozen=True)
+class FullReductionGame(ReductionGame):
+    """The reduction game with phase 4 unquotiented: every state keeps
+    both lengths, |v| and |u|, so each pair of lengths is its own state."""
+
+    def transitions(self, st: RState) -> tuple[tuple[int, RState], ...]:
+        phase, step, cur, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+        if phase == 5:
+            return ()
+        after_idle = _NEXT_AFTER_IDLE.get(step)
+        if after_idle is not None:
+            return ((0, RState(phase, after_idle, cur, t, u0, a2, v_len, v0_ok, u_len)),)
+        tree = self.source
+        if step == CTRL:
+            if phase == 1:
+                end = _phase2_entry(cur)
+            elif phase == 3:
+                end = _full_phase4_entry(t, u0, v_len, v0_ok)
+            else:
+                end = _full_terminal(cur, v_len, v0_ok, u_len)
+            if cur is not None and tree.children(cur):
+                extend = RState(phase, IDLE_CTRL, cur, t, u0, a2, v_len, v0_ok, u_len)
+                return ((0, extend), (1, end))
+            return ((1, end),)
+        if step == MICRO_A:
+            if phase == 2:
+                claim = (0, RState(2, IDLE_A, cur, t, u0, 0, v_len, v0_ok, u_len))
+                kids = tree.children(t)
+                if not kids:
+                    return (claim,)
+                left = kids[0][-1]
+                return (claim, (left, RState(2, IDLE_A, cur, t, u0, left, v_len, v0_ok, u_len)))
+            left = tree.children(cur)[0][-1]
+            return ((left, RState(phase, IDLE_A, cur, t, u0, a2, v_len, v0_ok, u_len)),)
+        # step == MICRO_B
+        if phase == 2:
+            if a2 == 0:
+                return ((0, _phase3_entry(t, 0)),)
+            kids = tree.children(t)
+            if len(kids) == 2:
+                right = kids[1][-1]
+                return ((0, _phase3_entry(t, a2)), (right, _phase3_entry(t, right)))
+            return ((0, _phase3_entry(t, a2)),)
+        kids = tree.children(cur)
+        if len(kids) == 2:
+            return ((0, self._extend(st, kids[0])), (kids[1][-1], self._extend(st, kids[1])))
+        return ((0, self._extend(st, kids[0])),)
+
+    def _extend(self, st: RState, child: Seq) -> RState:
+        """The state after the builder appends ``child``'s label."""
+        phase, _, _, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+        if phase == 1:
+            return RState(1, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len)
+        if phase == 3:
+            if not v_len:
+                v0_ok = child[-1] == u0
+            return RState(3, IDLE_B, child, t, u0, a2, v_len + 1, v0_ok, u_len)
+        return RState(4, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len + 1)
+
+
+def quotient_state(st: RState) -> RState:
+    """The state of the quotiented game that a full state stands for:
+    from phase 4 on, a play whose v is empty or copies u0 is settled and
+    keeps no lengths, any other keeps only how far u is behind v."""
+    if st.phase < 4:
+        return st
+    if st.v_len == 0 or st.v0_ok:
+        return st._replace(v_len=0, v0_ok=None, u_len=0)
+    return st._replace(v_len=max(st.v_len - st.u_len, 0) + 1, v0_ok=False, u_len=1)
+
+
+def scan_by_walk(game: ReductionGame) -> ScanStats:
+    """Exhaustive walk of every legal position, one at a time, checking
+    at each that the state machine's mover is the ply parity's mover."""
+    positions = 0
+    max_length = 0
+    max_moves = 0
+    stack: list[tuple[RState, int]] = [(game.initial, 0)]
+    while stack:
+        st, depth = stack.pop()
+        positions += 1
+        if depth > max_length:
+            max_length = depth
+        trans = game.transitions(st)
+        if not trans:
+            continue
+        if game.mover(st) is not mover_at(depth):
+            raise ReductionError(f"mover parity broken at depth {depth}: {st!r}")
+        if len(trans) > max_moves:
+            max_moves = len(trans)
+        for _, nxt in trans:
+            stack.append((nxt, depth + 1))
+    return ScanStats(positions, max_length, max_moves)
+
+
+def deepest_branch(tree: FiniteTree) -> Seq:
+    """The leftmost branch of maximal height: from the root, step to the
+    leftmost successor whose subtree is tallest.  Subtree heights come
+    from one post-order pass over the child index."""
+    below: dict[Seq, int] = {}
+    stack: list[tuple[Seq, bool]] = [((), False)]
+    while stack:
+        node, done = stack.pop()
+        kids = tree.children(node)
+        if done:
+            below[node] = 1 + max(below[kid] for kid in kids) if kids else 0
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in kids)
+    node: Seq = ()
+    while tree.children(node):
+        node = max(tree.children(node), key=below.__getitem__)
+    return node

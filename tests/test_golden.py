@@ -7,9 +7,11 @@ zero-free size <= 7 corpus: winners, strategies, explored node counts,
 principal plays and extracted branches.  The reduction's ``explored``
 is left out there, because it counts the solver's states rather than
 anything about the game.  The state digest pins exactly that over the
-same corpus, together with every state of the winning policy in its
-insertion order and the position scan, so a change in how states are
-represented cannot change the game they describe.  The embed digest
+same corpus, on the reduction game with both phase-4 lengths kept
+(``oracles.FullReductionGame``, the reference the quotiented game is
+tested against), together with every state of its winning policy in
+insertion order and the position scan, so a change in how its states
+are represented cannot change the game they describe.  The embed digest
 pins every byte of ``embed --json`` over the size <= 7 corpus relabelled
 with sparse drawn labels, under the exit payoff and two seeded campaign
 payoffs per tree, so that two-child parents order their successors by
@@ -24,8 +26,10 @@ import json
 from bcgames import cli
 from bcgames.lab import SplitMix64, random_payoffs
 from bcgames.payoff import serialize_payoff
-from bcgames.reduction import build_reduction_game, scan_positions, solve_reduction
-from bcgames.trees import FiniteTree, enumerate_trees, serialize_tree
+from bcgames.reduction import scan_positions
+from bcgames.solver import retrograde
+from bcgames.trees import enumerate_trees, serialize_tree
+from oracles import FullReductionGame, relabel
 
 SOLVE_DIGEST = "7fa760ae4bd8aa2775bdeb31ea6832744086676ed5194ae5c9c0dccc06bcf8fe"
 REDUCE_DIGEST = "704293befd736b4d520ccd84bfe393c82f75552ad484ac4776e3d49b4051c5ea"
@@ -69,24 +73,6 @@ def reduce_digest(workdir) -> str:
     return digest.hexdigest()
 
 
-def relabel(tree: FiniteTree, rng: SplitMix64) -> FiniteTree:
-    """The same shape with labels drawn from 1..999: each parent draws two
-    distinct labels, two successors take them in order, and a lone
-    successor takes either one."""
-    image = {(): ()}
-    for node in tree.sorted_nodes:
-        kids = tree.children(node)
-        if not kids:
-            continue
-        a, b = 1 + rng.below(999), 1 + rng.below(998)
-        labels = (min(a, b), max(a, b) + (b >= a))
-        if len(kids) == 1:
-            labels = (labels[rng.below(2)],)
-        for kid, label in zip(kids, labels):
-            image[kid] = image[node] + (label,)
-    return FiniteTree(frozenset(image.values()))
-
-
 def embed_digest(workdir) -> str:
     tree_path, payoff_path = workdir / "tree.txt", workdir / "payoff.txt"
     rng = SplitMix64(0xE3BED)
@@ -105,14 +91,15 @@ def embed_digest(workdir) -> str:
 def state_digest() -> str:
     digest = hashlib.sha256()
     for tree in enumerate_trees(7, zero_free=True):
-        result = solve_reduction(tree)
+        game = FullReductionGame(tree)
+        values, moves = retrograde(game)
         policy = [
             [[getattr(state, name) for name in STATE_FIELDS], move]
-            for state, move in result.strategy.moves.items()
+            for state, move in moves.items()
         ]
-        stats = scan_positions(build_reduction_game(tree))
+        stats = scan_positions(game)
         record = [
-            result.explored,
+            len(values),
             policy,
             [stats.positions, stats.max_length, stats.max_moves],
         ]

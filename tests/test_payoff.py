@@ -212,12 +212,12 @@ def test_clopen_codec_canonical_from_messy_text(prefixes, data):
     assert parse_payoff(canonical) == parsed
 
 
-# The empty generator is left out: it would be written as a blank line,
-# which the parser skips.
-@given(st.lists(st.frozensets(SPARSE.filter(bool), max_size=5), min_size=1, max_size=3), st.data())
+@given(st.lists(st.frozensets(SPARSE, max_size=5), min_size=1, max_size=3), st.data())
 def test_diff_codec_canonical_from_messy_text(levels, data):
     header = f"payoff diff v1 k={len(levels)}"
-    blocks = [(f"level {i}:", [write(g) for g in sorted(gens)]) for i, gens in enumerate(levels, 1)]
+    blocks = [
+        (f"level {i}:", [write(g) or "()" for g in sorted(gens)]) for i, gens in enumerate(levels, 1)
+    ]
     body = [line for head, lines in blocks for line in [head, *lines]]
     canonical = "\n".join([header, *body]) + "\n"
     messy = header + "\n" + "".join(data.draw(messy_text(head, lines)) for head, lines in blocks)
@@ -225,6 +225,16 @@ def test_diff_codec_canonical_from_messy_text(levels, data):
     assert parsed == DiffPayoff(tuple(OpenSet(gens) for gens in levels))
     assert serialize_diff(parsed) == canonical
     assert parse_payoff(canonical) == parsed
+
+
+def test_diff_codec_keeps_the_empty_generator():
+    # the empty generator makes every play a member
+    diff = DiffPayoff((OpenSet(frozenset({()})),))
+    text = serialize_diff(diff)
+    assert text == "payoff diff v1 k=1\nlevel 1:\n()\n"
+    assert eval_diff(diff, ()) is True
+    assert parse_payoff(text) == diff
+    assert eval_diff(parse_payoff(text), ()) is True
 
 
 def test_payoff_codec_errors():

@@ -1,12 +1,18 @@
+from dataclasses import dataclass
+
 import pytest
 
 from bcgames import reduction
+from bcgames.lab import SplitMix64
 from bcgames.players import Player, mover_at
 from bcgames.reduction import (
     BranchReport,
     IllegalPosition,
     NotTerminal,
+    ReductionError,
     ReductionGame,
+    ReductionPolicy,
+    ScanStats,
     StrategyNotWinning,
     ZeroLabeledTree,
     build_reduction_game,
@@ -20,14 +26,19 @@ from bcgames.reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from bcgames.solver import retrograde
-from bcgames.trees import enumerate_trees, validate_tree
+from bcgames.solver import counterplay, retrograde
+from bcgames.trees import enumerate_trees, subtree, validate_tree
 from oracles import (
+    FullReductionGame,
     apply_rules,
+    deepest_branch,
     encode_build_moves,
     materialize_game_tree,
     phase2_pins,
+    quotient_state,
     realizable_by_pinning,
+    relabel,
+    scan_by_walk,
     terminal_outcome,
     terminal_winner,
 )
@@ -45,6 +56,13 @@ def tall_tree(length, decoy=True):
     if decoy:
         nodes.append((2,))
     return validate_tree(nodes)
+
+
+def comb(length):
+    """A spine on the larger label with a one-node tooth on the smaller
+    one below every inner spine node."""
+    spine = [tuple([2] * i) for i in range(length + 1)]
+    return validate_tree(spine + [node + (1,) for node in spine[:-1]])
 
 
 def test_rejects_zero_labelled_tree():
@@ -267,3 +285,154 @@ def test_horizon_formula():
     assert horizon_bound(T_ROOT) == 20
     for tree in ZERO_FREE_5:
         assert horizon_bound(tree) == 4 * (tree.height + 1) * 3 + 8
+
+
+def test_quotient_gives_every_full_state_its_value():
+    # the full game keeps both phase-4 lengths; each of its states, mapped
+    # to the deficit it stands for, is a state of the quotient worth the same
+    merged = 0
+    for tree in ZERO_FREE_7:
+        full, _ = retrograde(FullReductionGame(tree))
+        quotient, _ = retrograde(ReductionGame(tree))
+        assert {quotient_state(st) for st in full} == set(quotient)
+        for st, value in full.items():
+            assert quotient[quotient_state(st)] is value
+        merged += len(full) - len(quotient)
+    assert merged
+
+
+def test_quotient_policy_certified_on_full_game():
+    for tree in ZERO_FREE_7:
+        policy = solve_reduction(tree).strategy
+        lifted = counterplay(
+            FullReductionGame(tree), policy.owner, lambda st: policy.moves.get(quotient_state(st))
+        )
+        assert lifted is None
+
+
+def test_scan_over_states_matches_position_walk():
+    for tree in ZERO_FREE_7:
+        assert scan_positions(ReductionGame(tree)) == scan_by_walk(FullReductionGame(tree))
+
+
+def test_decode_grows_u_prime_with_the_current_node():
+    # in phase 4 the node being navigated is t + u, at every position
+    for tree in ZERO_FREE_5:
+        game = build_reduction_game(tree)
+        stack = [(game.initial, ())]
+        while stack:
+            st, pos = stack.pop()
+            if st.phase == 4 and st.cur is not None:
+                transcript = decode(game, pos)
+                assert transcript.t + (transcript.u0,) + transcript.u_prime == st.cur
+            stack.extend((nxt, pos + (mv,)) for mv, nxt in game.transitions(st))
+
+
+@dataclass(frozen=True)
+class FlippedMover(ReductionGame):
+    """The reduction game with the mover swapped at one state."""
+
+    flipped: object = None
+
+    def mover(self, st):
+        who = super().mover(st)
+        return who.other if st == self.flipped else who
+
+
+def test_scan_rejects_a_flipped_mover():
+    tree = T_PATH2
+    phase4 = [st for st in retrograde(ReductionGame(tree))[0] if st.phase == 4]
+    assert phase4
+    for st in phase4:
+        game = FlippedMover(tree, st)
+        with pytest.raises(ReductionError, match="mover parity"):
+            scan_positions(game)
+        with pytest.raises(ReductionError, match="mover parity"):
+            scan_by_walk(game)
+
+
+class Diamond:
+    """a -> b -> end and a -> end: the end state is met at plies 1 and 2."""
+
+    initial = "a"
+    edges = {"a": ((0, "b"), (1, "end")), "b": ((0, "end"),)}
+
+    def transitions(self, st):
+        return self.edges.get(st, ())
+
+    def mover(self, st):
+        return Player.I if st == "a" else Player.II
+
+
+def test_scan_rejects_a_state_met_at_both_parities():
+    # the walk checks movers only, so it lets a terminal at both parities by
+    with pytest.raises(ReductionError, match="both ply parities"):
+        scan_positions(Diamond())
+    assert scan_by_walk(Diamond()) == ScanStats(4, 2, 2)
+
+
+def test_deepest_branch_examples():
+    assert deepest_branch(T_ROOT) == ()
+    assert deepest_branch(T_FORK) == (1,)
+    assert deepest_branch(validate_tree([(), (1,), (2,), (2, 5)])) == (2, 5)
+    assert deepest_branch(tall_tree(5)) == (1,) * 5
+    assert deepest_branch(comb(4)) == (2, 2, 2, 1)
+
+
+def assert_extracts_deepest_branch(tree):
+    result = solve_reduction(tree)
+    report = extract_branch(tree, result.strategy)
+    assert (report.f, report.fail_index) == (deepest_branch(tree), tree.height)
+    return result
+
+
+def test_extract_branch_is_the_leftmost_deepest_branch():
+    rng = SplitMix64(0x4E16)
+    for tree in enumerate_trees(8, zero_free=True):
+        assert_extracts_deepest_branch(tree)
+    for shape in ZERO_FREE_7:
+        assert_extracts_deepest_branch(relabel(shape, rng))
+
+
+@pytest.mark.parametrize("tree", [tall_tree(60), comb(60)], ids=["path-decoy-60", "comb-60"])
+def test_tall_trees_extract_the_deepest_branch(tree):
+    result = assert_extracts_deepest_branch(tree)
+    assert verify_winning_policy(build_reduction_game(tree), result.strategy) is None
+
+
+def test_realizable_claim_traces_are_the_deepest_leaves():
+    total = 0
+    for tree in ZERO_FREE_6:
+        realized = {node for node, ok in realizable_claim_traces(tree) if ok}
+        assert realized == {node for node in tree if len(node) == tree.height}
+        total += len(realized)
+    assert total == 54
+
+
+def test_answering_a_shallower_child_loses():
+    # a policy total over player II's states, winning wherever II can;
+    # pinning one answer keeps it winning iff the answer is height-maximal
+    checked = 0
+    for tree in ZERO_FREE_6:
+        game = build_reduction_game(tree)
+        values, _ = retrograde(game)
+        total = {}
+        for st in values:
+            if not game.is_terminal(st) and game.mover(st) is Player.II:
+                trans = game.transitions(st)
+                total[st] = next((m for m, n in trans if values[n] is Player.II), trans[0][0])
+        assert verify_winning_policy(game, ReductionPolicy(Player.II, total)) is None
+        for node in tree:
+            kids = tree.children(node)
+            if len(kids) < 2:
+                continue
+            tallest = max(subtree(tree, kid).height for kid in kids)
+            for kid in kids:
+                pinned = ReductionPolicy(Player.II, total | phase2_pins(tree, node, kid[-1]))
+                play = verify_winning_policy(game, pinned)
+                if subtree(tree, kid).height == tallest:
+                    assert play is None
+                else:
+                    checked += 1
+                    assert terminal_winner(game, tuple(play)) is Player.I
+    assert checked
