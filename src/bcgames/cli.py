@@ -139,11 +139,10 @@ def _cmd_reduce(args) -> int:
 
 def _branch_payload(tree: FiniteTree, result) -> dict:
     report = extract_branch(tree, result.strategy)
-    check_cardinality_bound(tree, report)
     return {
         "f": list(report.f),
         "fail_index": report.fail_index,
-        "bound_holds": report.bound_holds,
+        "bound_holds": check_cardinality_bound(tree, report),
     }
 
 

@@ -63,9 +63,6 @@ class SplitMix64:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
 
-    def choice(self, items):
-        return items[self.below(len(items))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
@@ -113,6 +110,9 @@ class CampaignConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"suites named more than once: {', '.join(repeated)}")
         if self.payoffs_per_tree < 1:  # the oracle and def34 suites would check nothing
             raise ValueError(f"payoffs_per_tree must be at least 1, got {self.payoffs_per_tree}")
 

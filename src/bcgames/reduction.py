@@ -292,14 +292,13 @@ def verify_winning_policy(game: ReductionGame, policy: ReductionPolicy) -> list[
     return counterplay(game, policy.owner, policy.moves.get)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchReport:
     """Branch read off the answering player's strategy: f grows one label
     per round until the strategy claims there is no successor."""
 
     f: Seq
     fail_index: int | None
-    bound_holds: bool | None = None
 
 
 def _query_u0(game: ReductionGame, policy: ReductionPolicy, target: Seq) -> int:
@@ -347,11 +346,9 @@ def check_cardinality_bound(tree: FiniteTree, report: BranchReport) -> bool:
     if report.fail_index is None:
         raise ReductionError("branch report carries no fail index")
     F = report.fail_index
-    holds = tree.size <= 2 ** (F + 1) - 1 and all(
+    return tree.size <= 2 ** (F + 1) - 1 and all(
         subtree(tree, report.f[: F - j]).size <= 2 ** (j + 1) - 1 for j in range(F + 1)
     )
-    report.bound_holds = holds
-    return holds
 
 
 @dataclass

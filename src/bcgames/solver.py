@@ -14,10 +14,10 @@ shares them.  Both keep an explicit stack: no Python frame is spent per
 ply, however tall the tree or long the play.
 
 Two independent brute-force routes cross-check the induction: one
-enumerates restricted strategies for both players and evaluates the
-joint play literally, the other enumerates quotiented regular
-strategies and walks every opponent line against each, on the game
-graph of the wrapped outcome, with the same certificate walk.
+builds the endpoint of every restricted strategy pair and scores each
+literally, the other enumerates quotiented regular strategies and walks
+every opponent line against each, on the game graph of the wrapped
+outcome, with the same certificate walk.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .strategy import (
     RestrictedStrategy,
     count_restricted,
     enumerate_regular_quotient,
-    enumerate_restricted,
-    product_restricted,
+    play_table,
     quotient_count,
     realize_exit,
     validate_restricted,
@@ -266,7 +265,8 @@ def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
 
 
 def brute_force_oracle(game: Game) -> Player:
-    """Winner by literal evaluation over all restricted strategy pairs.
+    """Winner by literal evaluation over all restricted strategy pairs:
+    some row of the play table is all I's, or some column all II's.
 
     Exact by construction: above ``PAIR_CAP`` pairs it refuses rather
     than samples.
@@ -275,15 +275,13 @@ def brute_force_oracle(game: Game) -> Player:
     pairs = count_restricted(tree, Player.I) * count_restricted(tree, Player.II)
     if pairs > PAIR_CAP:
         raise Infeasible(f"{pairs} strategy pairs exceed the cap of {PAIR_CAP}")
-    sigmas = list(enumerate_restricted(tree, Player.I))
-    taus = list(enumerate_restricted(tree, Player.II))
-
-    def outcome(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Player:
-        return game.winner(product_restricted(sigma, tau))
-
-    if any(all(outcome(s, t) is Player.I for t in taus) for s in sigmas):
+    table = play_table(tree)
+    ends = set().union(*table)
+    won_by_one = {end for end in ends if game.winner(end) is Player.I}
+    won_by_two = ends - won_by_one
+    if any(won_by_two.isdisjoint(row) for row in table):
         return Player.I
-    if any(all(outcome(s, t) is Player.II for s in sigmas) for t in taus):
+    if any(won_by_one.isdisjoint(column) for column in zip(*table)):
         return Player.II
     raise SolverError("neither player has a winning restricted strategy")
 

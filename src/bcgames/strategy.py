@@ -14,12 +14,14 @@ symbolic off-tree move EXIT.  All off-tree moves lose identically for
 the mover, so the quotient never changes an outcome.  EXIT is realized
 concretely as one more than the largest in-tree successor label, or 0
 at positions with no in-tree successor.
+
+The play table is the normal form of the tree game: the leaf where the
+play of each pair of restricted strategies, one per player, ends.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -35,10 +37,6 @@ class UndefinedAt(StrategyError):
     def __init__(self, position: Seq):
         self.position = position
         super().__init__(f"strategy undefined at position {position!r}")
-
-
-class NotAPath(StrategyError):
-    """The intersection of two restricted strategies is not a single path."""
 
 
 class NotExactlyOne(StrategyError):
@@ -146,40 +144,33 @@ def validate_restricted(
     return strategy
 
 
-def product_restricted(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Seq:
-    """Maximal node of the single path the two subtrees share."""
-    if sigma.owner is tau.owner:
-        raise StrategyError("product expects strategies of opposite owners")
-    # Both node sets are prefix closed, so the shared nodes hold every
-    # prefix of the deepest one, and are a path exactly when that is all.
-    shared = sigma.nodes & tau.nodes
-    endpoint = max(shared, key=len)
-    if len(shared) == len(endpoint) + 1:
-        return endpoint
-    parents = Counter(node[:-1] for node in shared if node)
-    fork = min(parent for parent, kids in parents.items() if kids > 1)
-    raise NotAPath(f"two continuations below {fork!r}")
+def play_table(tree: FiniteTree) -> list[list[Seq]]:
+    """The normal form of the tree game: entry (i, j) is the leaf where
+    the play of player I's i-th and player II's j-th restricted strategy
+    ends, strategies listed leftmost choices first.
 
-
-def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[RestrictedStrategy]:
-    """Every valid restricted strategy exactly once, leftmost choices first.
-
-    Built bottom-up: the strategies below a node come from those below
-    its successors, a choice of one at owner nodes and one of each at
-    opponent nodes."""
-    below: dict[Seq, list[frozenset[Seq]]] = {}
+    Built bottom-up in one pass.  A leaf ends every play at itself and a
+    lone successor passes its table up.  Where I moves, I's strategies
+    are those of either successor and II's are pairs of one per
+    successor, left-major; where II moves, the other way round."""
+    below: dict[Seq, list[list[Seq]]] = {}
     for node in reversed(tree.sorted_nodes):
-        options = [below.pop(child) for child in tree.children(node)]
-        if not options:
-            below[node] = [frozenset((node,))]
-        elif mover_at(len(node)) is owner:
-            below[node] = [sub | {node} for subs in options for sub in subs]
+        kids = tree.children(node)
+        if not kids:
+            below[node] = [[node]]
+        elif len(kids) == 1:
+            below[node] = below.pop(kids[0])
         else:
-            below[node] = [
-                frozenset((node,)).union(*combo) for combo in itertools.product(*options)
-            ]
-    for nodes in below[()]:
-        yield RestrictedStrategy(owner, nodes)
+            left, right = below.pop(kids[0]), below.pop(kids[1])
+            if mover_at(len(node)) is Player.I:
+                # II's column j * width + k answers the left side with its
+                # j-th strategy and the right side with its k-th.
+                width = len(right[0])
+                below[node] = [[end for end in row for _ in range(width)] for row in left]
+                below[node] += [row * len(left[0]) for row in right]
+            else:
+                below[node] = [row + other for row in left for other in right]
+    return below[()]
 
 
 def count_restricted(tree: FiniteTree, owner: Player) -> int:

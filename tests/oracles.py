@@ -1,26 +1,30 @@
 """Reference routes that only the tests use.
 
 Each one restates a rule of the library in the most literal way
-available, so the tests can compare the library's fast paths against
-it: the tree rules checked in sorted order, the exit rule read two ways,
-a clopen payoff read by scanning every entry, the settling prefix of a
+available, so the tests can compare the library's fast paths against it:
+the tree rules checked in sorted order, the exit rule read two ways, a
+clopen payoff read by scanning every entry, the settling prefix of a
 play, the four terminal rules of the reduction game applied to decoded
 pieces, a play scored move by move, the reduction game's positions as an
-explicit tree, claim traces decided by re-solving a pinned game, the
-restricted product found by walking a child index, restricted strategies
-checked in sorted order, the alternating play of two regular strategies,
-a restricted strategy in positional form, the def3 certificate as a
-recursive walk, the reduction game with both phase-4 lengths kept
-(``FullReductionGame``) and the map from its states to the quotiented
-ones, the position scan as a walk of every position, and the paper's
-height argument as the leftmost deepest branch.  ``node_sets`` draws the
-inputs the tree rules are compared on; ``sparse_trees`` and
+explicit tree, claim traces decided by re-solving a pinned game, both
+players' restricted strategies enumerated as node sets, the restricted
+product as the deepest shared node and again by walking a child index,
+the restricted oracle as a loop over every strategy pair, restricted
+strategies checked in sorted order, the alternating play of two regular
+strategies, a restricted strategy in positional form, the def3
+certificate as a recursive walk, the reduction game with both phase-4
+lengths kept (``FullReductionGame``) and the map from its states to the
+quotiented ones, the position scan as a walk of every position, and the
+paper's height argument as the leftmost deepest branch. ``node_sets``
+draws the inputs the tree rules are compared on; ``sparse_trees`` and
 ``messy_text`` draw the codecs' inputs; ``relabel`` gives a shape seeded
 sparse labels.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -47,11 +51,10 @@ from bcgames.reduction import (
     _phase3_entry,
     build_reduction_game,
 )
-from bcgames.solver import Game, UndecidedGame, retrograde, step
+from bcgames.solver import Game, SolverError, UndecidedGame, retrograde, step
 from bcgames.strategy import (
     EXIT,
     MissingOpponentOption,
-    NotAPath,
     NotExactlyOne,
     RegularStrategy,
     RestrictedStrategy,
@@ -191,6 +194,62 @@ def decide_by_scan(entries, default: Player, prefix: Seq) -> Player | None:
     if len(prefix) >= max((len(p) for p, _ in entries), default=0):
         return default
     return None
+
+
+class NotAPath(StrategyError):
+    """The intersection of two restricted strategies is not a single path."""
+
+
+def product_restricted(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Seq:
+    """Maximal node of the single path the two subtrees share."""
+    if sigma.owner is tau.owner:
+        raise StrategyError("product expects strategies of opposite owners")
+    # Both node sets are prefix closed, so the shared nodes hold every
+    # prefix of the deepest one, and are a path exactly when that is all.
+    shared = sigma.nodes & tau.nodes
+    endpoint = max(shared, key=len)
+    if len(shared) == len(endpoint) + 1:
+        return endpoint
+    parents = Counter(node[:-1] for node in shared if node)
+    fork = min(parent for parent, kids in parents.items() if kids > 1)
+    raise NotAPath(f"two continuations below {fork!r}")
+
+
+def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[RestrictedStrategy]:
+    """Every valid restricted strategy exactly once, leftmost choices first.
+
+    Built bottom-up: the strategies below a node come from those below
+    its successors, a choice of one at owner nodes and one of each at
+    opponent nodes."""
+    below: dict[Seq, list[frozenset[Seq]]] = {}
+    for node in reversed(tree.sorted_nodes):
+        options = [below.pop(child) for child in tree.children(node)]
+        if not options:
+            below[node] = [frozenset((node,))]
+        elif mover_at(len(node)) is owner:
+            below[node] = [sub | {node} for subs in options for sub in subs]
+        else:
+            below[node] = [
+                frozenset((node,)).union(*combo) for combo in itertools.product(*options)
+            ]
+    for nodes in below[()]:
+        yield RestrictedStrategy(owner, nodes)
+
+
+def oracle_by_pairs(game: Game) -> Player:
+    """Winner by intersecting every pair of enumerated restricted
+    strategies and scoring the shared path's end."""
+    sigmas = list(enumerate_restricted(game.tree, Player.I))
+    taus = list(enumerate_restricted(game.tree, Player.II))
+
+    def outcome(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Player:
+        return game.winner(product_restricted(sigma, tau))
+
+    if any(all(outcome(s, t) is Player.I for t in taus) for s in sigmas):
+        return Player.I
+    if any(all(outcome(s, t) is Player.II for s in sigmas) for t in taus):
+        return Player.II
+    raise SolverError("neither player has a winning restricted strategy")
 
 
 def product_by_walk(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Seq:

@@ -1,8 +1,11 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import bcgames
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -13,3 +16,13 @@ def test_demo_runs(demo, src_env):
         [sys.executable, str(demo)], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_api_is_what_the_demos_import():
+    imported = set()
+    for demo in DEMOS:
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "bcgames":
+                imported.update(alias.name for alias in node.names)
+    assert sorted(imported) == sorted(bcgames.__all__)
+    assert all(hasattr(bcgames, name) for name in bcgames.__all__)

@@ -73,6 +73,19 @@ def test_lab_without_payoffs_is_an_error(payoffs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lab_with_a_repeated_suite_is_an_error(tmp_path, capsys):
+    # a suite named twice would run twice and count its instances twice
+    with pytest.raises(ValueError, match="suites named more than once: oracle$"):
+        CampaignConfig(suites=("oracle", "def34", "oracle"))
+    out = tmp_path / "report.txt"
+    argv = ["lab", "--max-size", "3", "--suites", "oracle,oracle", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_replay_counterexample_reproduces_outcome():
     payoff = random_payoffs(T_FORK, 1, seed=3, depth=2)[0]
     record = {"tree": serialize_tree(T_FORK), "payoff": serialize_payoff(payoff)}

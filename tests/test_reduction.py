@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -63,6 +64,13 @@ def comb(length):
     one below every inner spine node."""
     spine = [tuple([2] * i) for i in range(length + 1)]
     return validate_tree(spine + [node + (1,) for node in spine[:-1]])
+
+
+def complete(depth, seed):
+    """The complete binary tree of the given depth with labels seeded by
+    ``relabel``."""
+    nodes = [node for n in range(depth + 1) for node in itertools.product((0, 1), repeat=n)]
+    return relabel(validate_tree(nodes), SplitMix64(seed))
 
 
 def test_rejects_zero_labelled_tree():
@@ -258,7 +266,9 @@ def test_claim_traces_match_pinned_re_solve(monkeypatch):
 
 def test_cardinality_bound_examples():
     report = BranchReport((1, 1), 2)
-    assert check_cardinality_bound(T_PATH2, report) and report.bound_holds
+    assert check_cardinality_bound(T_PATH2, report) is True
+    assert report == BranchReport((1, 1), 2)  # the check reads the report only
+    assert check_cardinality_bound(T_PATH2, BranchReport((1,), 1)) is False
     assert check_cardinality_bound(T_ROOT, BranchReport((), 0))
 
 
@@ -394,7 +404,11 @@ def test_extract_branch_is_the_leftmost_deepest_branch():
         assert_extracts_deepest_branch(relabel(shape, rng))
 
 
-@pytest.mark.parametrize("tree", [tall_tree(60), comb(60)], ids=["path-decoy-60", "comb-60"])
+@pytest.mark.parametrize(
+    "tree",
+    [tall_tree(60), comb(60), complete(6, 0xC6), complete(7, 0xC7)],
+    ids=["path-decoy-60", "comb-60", "complete-6", "complete-7"],
+)
 def test_tall_trees_extract_the_deepest_branch(tree):
     result = assert_extracts_deepest_branch(tree)
     assert verify_winning_policy(build_reduction_game(tree), result.strategy) is None

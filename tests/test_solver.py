@@ -30,6 +30,7 @@ from bcgames.trees import enumerate_trees, validate_tree
 from oracles import (
     decided_prefix,
     horizon,
+    oracle_by_pairs,
     product_regular,
     restricted_to_regular,
     wins_by_recursion,
@@ -115,6 +116,14 @@ def test_game_winner_scores_plays_past_the_decision_depth():
 def test_solver_agrees_with_oracle_on_small_corpus():
     for game in small_games():
         assert solve(game).winner is brute_force_oracle(game)
+
+
+def test_oracle_matches_pair_loop():
+    # the play table gives the winner the pair-by-pair intersection gives
+    for index, tree in enumerate(enumerate_trees(7)):
+        payoffs = random_payoffs(tree, 5, 60 + index, 4)
+        for game in [exit_game(tree), *(game_for(tree, p) for p in payoffs)]:
+            assert brute_force_oracle(game) is oracle_by_pairs(game)
 
 
 def test_def34_examples():
@@ -214,6 +223,7 @@ def test_tall_path_solves_certifies_and_embeds():
     assert result.winner is Player.II  # player I moves at the leaf and is forced out
     assert result.explored == height + 1
     assert verify_winning(game, result.strategy) is None
+    assert brute_force_oracle(game) is result.winner
     rho = build_rho(tree)
     image = solve(push_game(rho, game))
     assert image.winner is result.winner

@@ -3,11 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcgames.lab import SplitMix64
 from bcgames.players import Player, mover_at
 from bcgames.strategy import (
     EXIT,
     MissingOpponentOption,
-    NotAPath,
     NotExactlyOne,
     RegularStrategy,
     RestrictedStrategy,
@@ -15,9 +15,8 @@ from bcgames.strategy import (
     UndefinedAt,
     count_restricted,
     enumerate_regular_quotient,
-    enumerate_restricted,
     parse_strategy,
-    product_restricted,
+    play_table,
     quotient_count,
     realize_exit,
     serialize_strategy,
@@ -25,10 +24,14 @@ from bcgames.strategy import (
 )
 from bcgames.trees import MissingPrefix, TreeError, enumerate_trees, validate_tree
 from oracles import (
+    NotAPath,
+    enumerate_restricted,
     messy_text,
     node_sets,
     product_by_walk,
     product_regular,
+    product_restricted,
+    relabel,
     restricted_to_regular,
     sparse_trees,
     validate_restricted_by_sorting,
@@ -228,6 +231,26 @@ def test_intersection_is_path_and_matches_stepwise_play(tree):
         assert node == endpoint
         for n in range(len(endpoint) + 1):
             assert endpoint[:n] in sigma.nodes and endpoint[:n] in tau.nodes
+
+
+def test_play_table_examples():
+    assert play_table(validate_tree([()])) == [[()]]
+    # I picks a side: one row per choice, one column for II
+    assert play_table(T_FORK) == [[(1,)], [(2,)]]
+    # II's two strategies answer (1,) with (1, 1) or (1, 2); I's row for
+    # (2,) ends there against both
+    deep = validate_tree([(), (1,), (2,), (1, 1), (1, 2)])
+    assert play_table(deep) == [[(1, 1), (1, 2)], [(2,), (2,)]]
+
+
+def test_play_table_matches_pair_products():
+    rng = SplitMix64(8)
+    trees = list(enumerate_trees(7))
+    trees += [relabel(tree, rng) for tree in enumerate_trees(6)]
+    for tree in trees:
+        sigmas = list(enumerate_restricted(tree, Player.I))
+        taus = list(enumerate_restricted(tree, Player.II))
+        assert play_table(tree) == [[product_restricted(s, t) for t in taus] for s in sigmas]
 
 
 def test_restricted_to_regular_examples():
