@@ -32,7 +32,7 @@ from .reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from .solver import Game, brute_force_oracle, check_def3_def4, solve, verify_winning
+from .solver import Game, brute_force_oracle, check_def3_def4, normal_form, solve, verify_winning
 from .trees import FiniteTree, enumerate_trees, parse_tree, serialize_tree
 
 _MASK = (1 << 64) - 1
@@ -113,6 +113,10 @@ class CampaignConfig:
         repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if repeated:
             raise ValueError(f"suites named more than once: {', '.join(repeated)}")
+        if not self.suites:  # a campaign that runs no suite checks nothing
+            raise ValueError("suites must name at least one suite")
+        if self.max_size < 1:
+            raise ValueError("max_size must be at least 1")
         if self.payoffs_per_tree < 1:  # the oracle and def34 suites would check nothing
             raise ValueError(f"payoffs_per_tree must be at least 1, got {self.payoffs_per_tree}")
 
@@ -199,11 +203,12 @@ def run_suite_oracle(cfg: CampaignConfig) -> SuiteResult:
     winner's certificate, over every canonical tree and seeded payoff."""
     result = SuiteResult("oracle")
     for index, tree in enumerate(enumerate_trees(cfg.max_size)):
+        form = normal_form(tree)
         payoffs = random_payoffs(tree, cfg.payoffs_per_tree, cfg.seed + index, depth=4)
         for payoff in payoffs:
             game = game_for(tree, payoff)
             solved = solve(game)
-            oracle = brute_force_oracle(game)
+            oracle = form.winner(game)
             certified = verify_winning(game, solved.strategy) is None
             ok = solved.winner is oracle and certified
             result.record(

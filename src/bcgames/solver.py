@@ -14,10 +14,11 @@ shares them.  Both keep an explicit stack: no Python frame is spent per
 ply, however tall the tree or long the play.
 
 Two independent brute-force routes cross-check the induction: one
-builds the endpoint of every restricted strategy pair and scores each
-literally, the other enumerates quotiented regular strategies and walks
-every opponent line against each, on the game graph of the wrapped
-outcome, with the same certificate walk.
+builds the normal form, the endpoint of every restricted strategy pair,
+once per tree and scores each endpoint literally, the other enumerates
+quotiented regular strategies and walks every opponent line against
+each, on the game graph of the wrapped outcome, with the same
+certificate walk.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .strategy import (
     EXIT,
     RegularStrategy,
     RestrictedStrategy,
-    count_restricted,
     enumerate_regular_quotient,
     play_table,
     quotient_count,
@@ -264,26 +264,72 @@ def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
     return None if play is None else tuple(play)
 
 
-def brute_force_oracle(game: Game) -> Player:
-    """Winner by literal evaluation over all restricted strategy pairs:
-    some row of the play table is all I's, or some column all II's.
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """The normal form of the game on a tree: ``rows[i][j]`` is the leaf
+    where the play of player I's i-th and player II's j-th restricted
+    strategy ends (``play_table``), ``columns`` is the same table read by
+    II's strategies, and ``ends`` holds its distinct leaves.  It depends
+    on the tree alone, so one form scores every game on that tree."""
 
-    Exact by construction: above ``PAIR_CAP`` pairs it refuses rather
-    than samples.
-    """
-    tree = game.tree
-    pairs = count_restricted(tree, Player.I) * count_restricted(tree, Player.II)
-    if pairs > PAIR_CAP:
-        raise Infeasible(f"{pairs} strategy pairs exceed the cap of {PAIR_CAP}")
-    table = play_table(tree)
-    ends = set().union(*table)
-    won_by_one = {end for end in ends if game.winner(end) is Player.I}
-    won_by_two = ends - won_by_one
-    if any(won_by_two.isdisjoint(row) for row in table):
-        return Player.I
-    if any(won_by_one.isdisjoint(column) for column in zip(*table)):
-        return Player.II
-    raise SolverError("neither player has a winning restricted strategy")
+    tree: FiniteTree
+    rows: list[list[Seq]]
+    columns: list[tuple[Seq, ...]]
+    ends: frozenset[Seq]
+
+    def winner(self, game: Game) -> Player:
+        """Winner by literal evaluation over all restricted strategy pairs:
+        some row of the table is all I's, or some column all II's.  Each
+        distinct leaf is scored once, by ``game.winner``."""
+        if game.tree is not self.tree and game.tree != self.tree:
+            raise SolverError("the game is played on another tree than the normal form's")
+        won_by_one = {end for end in self.ends if game.winner(end) is Player.I}
+        won_by_two = self.ends - won_by_one
+        if any(won_by_two.isdisjoint(row) for row in self.rows):
+            return Player.I
+        if any(won_by_one.isdisjoint(column) for column in self.columns):
+            return Player.II
+        raise SolverError("neither player has a winning restricted strategy")
+
+
+def normal_form(tree: FiniteTree) -> NormalForm:
+    """The normal form of the game on ``tree``, refused above ``PAIR_CAP``
+    strategy pairs rather than sampled.
+
+    One bottom-up pass counts both players' restricted strategies by the
+    sum/product rule: where a player moves, that player's count is the sum
+    over the two successors and the opponent's the product.  It raises
+    ``Infeasible`` at the first node whose subtree alone has more pairs
+    than the cap.  Counts never shrink going up the tree, so it refuses
+    exactly when the count at the root would, and it counts no further
+    than the first subtree past the cap."""
+    # Reversed preorder meets a node right after its subtrees, so its
+    # successors' counts are on top of the stack; a lone successor's stay.
+    counts: list[tuple[int, int]] = []
+    for node in reversed(tree.sorted_nodes):
+        kids = tree.children(node)
+        if len(kids) == 2:
+            (left_one, left_two), (right_one, right_two) = counts.pop(), counts.pop()
+            if mover_at(len(node)) is Player.I:
+                ones, twos = left_one + right_one, left_two * right_two
+            else:
+                ones, twos = left_one * right_one, left_two + right_two
+            if ones * twos > PAIR_CAP:
+                raise Infeasible(
+                    f"{ones * twos} strategy pairs in the subtree at {node!r} "
+                    f"exceed the cap of {PAIR_CAP}"
+                )
+            counts.append((ones, twos))
+        elif not kids:
+            counts.append((1, 1))
+    rows = play_table(tree)
+    return NormalForm(tree, rows, list(zip(*rows)), frozenset().union(*rows))
+
+
+def brute_force_oracle(game: Game) -> Player:
+    """Winner by literal evaluation over all restricted strategy pairs of
+    the game's normal form; refused above ``PAIR_CAP`` pairs."""
+    return normal_form(game.tree).winner(game)
 
 
 @dataclass(frozen=True)

@@ -173,20 +173,6 @@ def play_table(tree: FiniteTree) -> list[list[Seq]]:
     return below[()]
 
 
-def count_restricted(tree: FiniteTree, owner: Player) -> int:
-    """Strategy count by the sum/product rule, bottom-up: owner nodes sum
-    over their choices, opponent nodes multiply over the kept successors."""
-    counts: dict[Seq, int] = {}
-    for node in reversed(tree.sorted_nodes):
-        kids = tree.children(node)
-        if len(kids) == 2:
-            left, right = counts[kids[0]], counts[kids[1]]
-            counts[node] = left + right if mover_at(len(node)) is owner else left * right
-        else:
-            counts[node] = counts[kids[0]] if kids else 1
-    return counts[()]
-
-
 def quotient_positions(tree: FiniteTree, owner: Player) -> tuple[Seq, ...]:
     return tuple(n for n in tree.sorted_nodes if mover_at(len(n)) is owner)
 

@@ -90,7 +90,16 @@ class FiniteTree:
 
     @cached_property
     def sorted_nodes(self) -> tuple[Seq, ...]:
-        return tuple(sorted(self.nodes))
+        """Every node in tuple order, which is the preorder of the child
+        index, leftmost first, read with an explicit stack."""
+        index = self._children
+        order = []
+        stack = [ROOT]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack += index[node][::-1]
+        return tuple(order)
 
     def children(self, node: Seq) -> tuple[Seq, ...]:
         """Immediate successors of ``node``, leftmost first."""
@@ -213,10 +222,10 @@ def parse_node(text: str, lineno: int, error: Callable[[int, str], Exception]) -
     """One node written as space-separated naturals; malformed text raises
     ``error(lineno, message)``, the calling codec's syntax error."""
     try:
-        node = tuple(int(part) for part in text.split())
+        node = tuple(map(int, text.split()))
     except ValueError:
         raise error(lineno, f"not a sequence of naturals: {text!r}") from None
-    if any(x < 0 for x in node):
+    if node and min(node) < 0:
         raise error(lineno, f"negative entry in {text!r}")
     return node
 

@@ -2,23 +2,24 @@
 
 Each one restates a rule of the library in the most literal way
 available, so the tests can compare the library's fast paths against it:
-the tree rules checked in sorted order, the exit rule read two ways, a
-clopen payoff read by scanning every entry, the settling prefix of a
-play, the four terminal rules of the reduction game applied to decoded
-pieces, a play scored move by move, the reduction game's positions as an
-explicit tree, claim traces decided by re-solving a pinned game, both
-players' restricted strategies enumerated as node sets, the restricted
-product as the deepest shared node and again by walking a child index,
-the restricted oracle as a loop over every strategy pair, restricted
-strategies checked in sorted order, the alternating play of two regular
-strategies, a restricted strategy in positional form, the def3
-certificate as a recursive walk, the reduction game with both phase-4
-lengths kept (``FullReductionGame``) and the map from its states to the
-quotiented ones, the position scan as a walk of every position, and the
-paper's height argument as the leftmost deepest branch. ``node_sets``
-draws the inputs the tree rules are compared on; ``sparse_trees`` and
-``messy_text`` draw the codecs' inputs; ``relabel`` gives a shape seeded
-sparse labels.
+the tree rules checked in sorted order, a node line parsed part by part,
+the exit rule read two ways, a clopen payoff read by scanning every
+entry, the settling prefix of a play, the four terminal rules of the
+reduction game applied to decoded pieces, a play scored move by move,
+the reduction game's positions as an explicit tree, claim traces decided
+by re-solving a pinned game, both players' restricted strategies
+enumerated as node sets, the restricted product as the deepest shared
+node and again by walking a child index, each player's restricted
+strategies counted over the whole tree, the restricted oracle as a loop
+over every strategy pair, restricted strategies checked in sorted order,
+the alternating play of two regular strategies, a restricted strategy in
+positional form, the def3 certificate as a recursive walk, the reduction
+game with both phase-4 lengths kept (``FullReductionGame``) and the map
+from its states to the quotiented ones, the position scan as a walk of
+every position, and the paper's height argument as the leftmost deepest
+branch. ``node_sets`` draws the inputs the tree rules are compared on;
+``sparse_trees`` and ``messy_text`` draw the codecs' inputs; ``relabel``
+gives a shape seeded sparse labels.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from hypothesis import strategies as st
 
@@ -112,6 +113,18 @@ def check_tree_by_sorting(nodes: frozenset[Seq]) -> None:
     for parent in sorted(counts):
         if counts[parent] > 2:
             raise TooManySuccessors(parent)
+
+
+def parse_node_by_parts(text: str, lineno: int, error: Callable[[int, str], Exception]) -> Seq:
+    """One node written as space-separated naturals; malformed text raises
+    ``error(lineno, message)``, the calling codec's syntax error."""
+    try:
+        node = tuple(int(part) for part in text.split())
+    except ValueError:
+        raise error(lineno, f"not a sequence of naturals: {text!r}") from None
+    if any(x < 0 for x in node):
+        raise error(lineno, f"negative entry in {text!r}")
+    return node
 
 
 @st.composite
@@ -234,6 +247,20 @@ def enumerate_restricted(tree: FiniteTree, owner: Player) -> Iterator[Restricted
             ]
     for nodes in below[()]:
         yield RestrictedStrategy(owner, nodes)
+
+
+def count_restricted(tree: FiniteTree, owner: Player) -> int:
+    """Strategy count by the sum/product rule, bottom-up: owner nodes sum
+    over their choices, opponent nodes multiply over the kept successors."""
+    counts: dict[Seq, int] = {}
+    for node in reversed(tree.sorted_nodes):
+        kids = tree.children(node)
+        if len(kids) == 2:
+            left, right = counts[kids[0]], counts[kids[1]]
+            counts[node] = left + right if mover_at(len(node)) is owner else left * right
+        else:
+            counts[node] = counts[kids[0]] if kids else 1
+    return counts[()]
 
 
 def oracle_by_pairs(game: Game) -> Player:

@@ -86,6 +86,25 @@ def test_lab_with_a_repeated_suite_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_campaign_without_suites_is_an_error():
+    # a campaign that runs no suite would report PASS on no instances
+    with pytest.raises(ValueError, match="^suites must name at least one suite$"):
+        CampaignConfig(suites=())
+
+
+@pytest.mark.parametrize("max_size", ["0", "-2"])
+def test_lab_without_trees_is_an_error(max_size, tmp_path, capsys):
+    with pytest.raises(ValueError, match="^max_size must be at least 1$"):
+        CampaignConfig(max_size=int(max_size))
+    out = tmp_path / "report.txt"
+    argv = ["lab", "--max-size", max_size, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_size must be at least 1\n"
+    assert not out.exists()
+
+
 def test_replay_counterexample_reproduces_outcome():
     payoff = random_payoffs(T_FORK, 1, seed=3, depth=2)[0]
     record = {"tree": serialize_tree(T_FORK), "payoff": serialize_payoff(payoff)}

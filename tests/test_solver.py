@@ -1,6 +1,8 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given
 
 from bcgames.embedding import build_rho, pull_back_strategy, push_game
 from bcgames.lab import game_for, random_payoffs
@@ -10,17 +12,18 @@ from bcgames.solver import (
     PAIR_CAP,
     Game,
     Infeasible,
+    SolverError,
     UndecidedGame,
     WrappedGame,
     brute_force_oracle,
     check_def3_def4,
     def3_winner,
     exit_game,
+    normal_form,
     solve,
     verify_winning,
 )
 from bcgames.strategy import (
-    count_restricted,
     enumerate_regular_quotient,
     quotient_count,
     validate_restricted,
@@ -28,11 +31,13 @@ from bcgames.strategy import (
 from bcgames.payoff import outcome_psi
 from bcgames.trees import enumerate_trees, validate_tree
 from oracles import (
+    count_restricted,
     decided_prefix,
     horizon,
     oracle_by_pairs,
     product_regular,
     restricted_to_regular,
+    sparse_trees,
     wins_by_recursion,
 )
 
@@ -98,7 +103,10 @@ def test_oracle_infeasible_cap():
     quotient = quotient_count(tree, Player.I) * quotient_count(tree, Player.II)
     assert restricted == 2_097_152 and quotient > 10**30
     assert PAIR_CAP < restricted < quotient
-    with pytest.raises(Infeasible, match=f"^{restricted} strategy pairs exceed the cap of {PAIR_CAP}$"):
+    with pytest.raises(
+        Infeasible,
+        match=f"^{restricted} strategy pairs in the subtree at \\(\\) exceed the cap of {PAIR_CAP}$",
+    ):
         brute_force_oracle(exit_game(tree))
     with pytest.raises(Infeasible, match=f"^{quotient} quotient pairs exceed the cap of {PAIR_CAP}$"):
         def3_winner(exit_game(tree))
@@ -119,11 +127,65 @@ def test_solver_agrees_with_oracle_on_small_corpus():
 
 
 def test_oracle_matches_pair_loop():
-    # the play table gives the winner the pair-by-pair intersection gives
+    # the play table gives the winner the pair-by-pair intersection gives,
+    # and one normal form per tree scores every game on that tree
     for index, tree in enumerate(enumerate_trees(7)):
+        form = normal_form(tree)
         payoffs = random_payoffs(tree, 5, 60 + index, 4)
         for game in [exit_game(tree), *(game_for(tree, p) for p in payoffs)]:
             assert brute_force_oracle(game) is oracle_by_pairs(game)
+            assert form.winner(game) is brute_force_oracle(game)
+
+
+def complete_tree(depth, base=()):
+    return [base + node for n in range(depth + 1) for node in itertools.product((0, 1), repeat=n)]
+
+
+def refuses(tree):
+    try:
+        normal_form(tree)
+    except Infeasible:
+        return True
+    return False
+
+
+def test_oracle_refuses_exactly_above_the_cap():
+    # the capped count refuses iff the product of the two full counts
+    # passes the cap
+    for tree in enumerate_trees(7):
+        pairs = count_restricted(tree, Player.I) * count_restricted(tree, Player.II)
+        assert refuses(tree) is (pairs > PAIR_CAP)
+
+
+@given(sparse_trees())
+def test_oracle_refuses_exactly_above_the_cap_on_sparse_labels(nodes):
+    tree = validate_tree(nodes)
+    pairs = count_restricted(tree, Player.I) * count_restricted(tree, Player.II)
+    assert refuses(tree) is (pairs > PAIR_CAP)
+
+
+def test_oracle_cap_boundaries():
+    depth5 = validate_tree(complete_tree(5))
+    assert count_restricted(depth5, Player.I) * count_restricted(depth5, Player.II) == 8192
+    form = normal_form(depth5)
+    assert len(form.rows) * len(form.columns) == 8192
+    game = exit_game(depth5)
+    assert form.winner(game) is solve(game).winner
+    depth6 = validate_tree(complete_tree(6))
+    with pytest.raises(Infeasible, match=r"^2097152 strategy pairs in the subtree at \(\) "):
+        normal_form(depth6)
+    # the first subtree past the cap is refused, however far below the root
+    tip = (1,) * 2000
+    tall = validate_tree([tip[:i] for i in range(len(tip))] + complete_tree(6, tip))
+    with pytest.raises(Infeasible, match=f" in the subtree at {re.escape(repr(tip))} exceed"):
+        brute_force_oracle(exit_game(tall))
+
+
+def test_normal_form_refuses_a_game_on_another_tree():
+    form = normal_form(validate_tree([(), (1,), (2,)]))
+    assert form.winner(exit_game(validate_tree([(), (1,), (2,)]))) is Player.I
+    with pytest.raises(SolverError, match="another tree"):
+        form.winner(exit_game(validate_tree([(), (1,)])))
 
 
 def test_def34_examples():

@@ -13,7 +13,6 @@ from bcgames.strategy import (
     RestrictedStrategy,
     StrategyError,
     UndefinedAt,
-    count_restricted,
     enumerate_regular_quotient,
     parse_strategy,
     play_table,
@@ -25,6 +24,7 @@ from bcgames.strategy import (
 from bcgames.trees import MissingPrefix, TreeError, enumerate_trees, validate_tree
 from oracles import (
     NotAPath,
+    count_restricted,
     enumerate_restricted,
     messy_text,
     node_sets,

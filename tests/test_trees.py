@@ -11,13 +11,14 @@ from bcgames.trees import (
     child_index,
     enumerate_trees,
     is_zero_free,
+    parse_node,
     parse_tree,
     serialize_tree,
     subtree,
     validate_tree,
     zero_free_transform,
 )
-from oracles import check_tree_by_sorting, messy_text, node_sets, sparse_trees
+from oracles import check_tree_by_sorting, messy_text, node_sets, parse_node_by_parts, sparse_trees
 
 CORPUS_6 = list(enumerate_trees(6))
 
@@ -133,6 +134,45 @@ def test_codec_rejects_bad_input():
         parse_tree("tree v1\n1 x\n")
     with pytest.raises(TreeSyntaxError):
         parse_tree("tree v1\n-1\n")
+
+
+# Node text the line parser meets: digit runs, signs, digit separators,
+# non-ASCII digits, letters and float or hex spellings, split by spaces
+# and tabs or run together.
+NODE_PARTS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.sampled_from(["+3", "-3", "-0", "1_0", "_1", "1__0", "\u0663", "\uff15", "x", "a1", "1e3", "0x1f", "3.0"]),
+)
+NODE_TEXTS = st.lists(st.tuples(NODE_PARTS, st.sampled_from([" ", "\t", " \t", ""])), max_size=5).map(
+    lambda parts: "".join(part + gap for part, gap in parts)
+)
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text, 7, TreeSyntaxError)
+    except TreeSyntaxError as exc:
+        return type(exc), str(exc)
+
+
+@given(NODE_TEXTS)
+def test_parse_node_matches_part_by_part_reference(text):
+    assert parsed_or_error(parse_node, text) == parsed_or_error(parse_node_by_parts, text)
+
+
+def test_sorted_nodes_is_tuple_order():
+    trees = list(enumerate_trees(7))
+    trees.append(validate_tree([(1,) * i for i in range(2001)]))
+    for tree in trees:
+        assert tree.sorted_nodes == tuple(sorted(tree.nodes))
+        assert list(tree) == list(tree.sorted_nodes)
+
+
+@given(sparse_trees())
+def test_sorted_nodes_is_tuple_order_on_sparse_labels(nodes):
+    tree = validate_tree(nodes)
+    assert tree.sorted_nodes == tuple(sorted(nodes))
+    assert list(tree) == list(tree.sorted_nodes)
 
 
 @pytest.mark.parametrize("tree", CORPUS_6, ids=lambda t: str(sorted(t.nodes)))
