@@ -75,12 +75,12 @@ def _load_game(args) -> Game:
 def _cmd_solve(args) -> int:
     game = _load_game(args)
     result = solve(game)
-    oracle_checked = False
     agree = None
     if args.semantics == "def3":
         report = check_def3_def4(game)
         agree = report.agree
         winner = report.regular_winner
+        oracle_checked = report.restricted_winner is result.winner
     else:
         winner = result.winner
         try:

@@ -244,14 +244,12 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
         if nxt is None:
             raise IllegalPosition(ply)
         if nxt.phase >= 2 and out.t is None:
-            out.t = nxt.t if nxt.t is not None else st.t
+            out.t = nxt.t
         if nxt.phase >= 3 and out.u0 is None:
-            out.u0 = nxt.u0 if nxt.phase == 3 else st.u0
+            out.u0 = nxt.u0
         if nxt.phase == 3:
             out.v = nxt.cur[len(out.t) :]
         if nxt.phase == 4:
-            if out.v is None:
-                out.v = ()
             if out.u_prime is None:
                 out.u_prime = ()
             if st.phase == 4 and st.step == MICRO_B:

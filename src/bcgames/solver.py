@@ -33,7 +33,6 @@ from .strategy import (
     RegularStrategy,
     RestrictedStrategy,
     enumerate_regular_quotient,
-    play_table,
     quotient_count,
     realize_exit,
     validate_restricted,
@@ -268,9 +267,10 @@ def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
 class NormalForm:
     """The normal form of the game on a tree: ``rows[i][j]`` is the leaf
     where the play of player I's i-th and player II's j-th restricted
-    strategy ends (``play_table``), ``columns`` is the same table read by
-    II's strategies, and ``ends`` holds its distinct leaves.  It depends
-    on the tree alone, so one form scores every game on that tree."""
+    strategy ends, strategies listed leftmost choices first; ``columns``
+    is the same table read by II's strategies, and ``ends`` holds its
+    distinct leaves.  It depends on the tree alone, so one form scores
+    every game on that tree."""
 
     tree: FiniteTree
     rows: list[list[Seq]]
@@ -292,37 +292,62 @@ class NormalForm:
         raise SolverError("neither player has a winning restricted strategy")
 
 
+def _fold(tree: FiniteTree, leaf: Callable, join: Callable):
+    """One bottom-up pass over ``tree``: a leaf takes ``leaf(node)``, a
+    lone successor's value passes up unchanged, and a node with two
+    successors takes ``join(node, left, right)``."""
+    # Reversed preorder meets a node right after its subtrees, so its
+    # successors' values are on top of the stack, the left one uppermost.
+    values: list = []
+    for node in reversed(tree.sorted_nodes):
+        kids = tree.children(node)
+        if len(kids) == 2:
+            left = values.pop()
+            values.append(join(node, left, values.pop()))
+        elif not kids:
+            values.append(leaf(node))
+    return values[0]
+
+
+def _count_pairs(node: Seq, left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+    # Where a player moves, that player's strategies are those of either
+    # successor and the opponent's are pairs of one per successor.
+    (left_one, left_two), (right_one, right_two) = left, right
+    if mover_at(len(node)) is Player.I:
+        ones, twos = left_one + right_one, left_two * right_two
+    else:
+        ones, twos = left_one * right_one, left_two + right_two
+    if ones * twos > PAIR_CAP:
+        raise Infeasible(
+            f"{ones * twos} strategy pairs in the subtree at {node!r} "
+            f"exceed the cap of {PAIR_CAP}"
+        )
+    return ones, twos
+
+
+def _join_tables(node: Seq, left: list[list[Seq]], right: list[list[Seq]]) -> list[list[Seq]]:
+    # The same rule on the tables: where I moves, I's rows are either
+    # side's and II's column j * width + k answers the left side with its
+    # j-th strategy and the right side with its k-th; where II moves, the
+    # other way round.
+    if mover_at(len(node)) is Player.I:
+        width = len(right[0])
+        rows = [[end for end in row for _ in range(width)] for row in left]
+        return rows + [row * len(left[0]) for row in right]
+    return [row + other for row in left for other in right]
+
+
 def normal_form(tree: FiniteTree) -> NormalForm:
     """The normal form of the game on ``tree``, refused above ``PAIR_CAP``
     strategy pairs rather than sampled.
 
-    One bottom-up pass counts both players' restricted strategies by the
-    sum/product rule: where a player moves, that player's count is the sum
-    over the two successors and the opponent's the product.  It raises
+    A first pass counts both players' restricted strategies and raises
     ``Infeasible`` at the first node whose subtree alone has more pairs
     than the cap.  Counts never shrink going up the tree, so it refuses
-    exactly when the count at the root would, and it counts no further
-    than the first subtree past the cap."""
-    # Reversed preorder meets a node right after its subtrees, so its
-    # successors' counts are on top of the stack; a lone successor's stay.
-    counts: list[tuple[int, int]] = []
-    for node in reversed(tree.sorted_nodes):
-        kids = tree.children(node)
-        if len(kids) == 2:
-            (left_one, left_two), (right_one, right_two) = counts.pop(), counts.pop()
-            if mover_at(len(node)) is Player.I:
-                ones, twos = left_one + right_one, left_two * right_two
-            else:
-                ones, twos = left_one * right_one, left_two + right_two
-            if ones * twos > PAIR_CAP:
-                raise Infeasible(
-                    f"{ones * twos} strategy pairs in the subtree at {node!r} "
-                    f"exceed the cap of {PAIR_CAP}"
-                )
-            counts.append((ones, twos))
-        elif not kids:
-            counts.append((1, 1))
-    rows = play_table(tree)
+    exactly when the count at the root would, and no table is built for
+    a refused tree.  A second pass builds the table by the same rule."""
+    _fold(tree, lambda node: (1, 1), _count_pairs)
+    rows = _fold(tree, lambda node: [[node]], _join_tables)
     return NormalForm(tree, rows, list(zip(*rows)), frozenset().union(*rows))
 
 

@@ -14,9 +14,6 @@ symbolic off-tree move EXIT.  All off-tree moves lose identically for
 the mover, so the quotient never changes an outcome.  EXIT is realized
 concretely as one more than the largest in-tree successor label, or 0
 at positions with no in-tree successor.
-
-The play table is the normal form of the tree game: the leaf where the
-play of each pair of restricted strategies, one per player, ends.
 """
 
 from __future__ import annotations
@@ -142,35 +139,6 @@ def validate_restricted(
             raise MissingOpponentOption(node)
         stack.extend(reversed(kept))
     return strategy
-
-
-def play_table(tree: FiniteTree) -> list[list[Seq]]:
-    """The normal form of the tree game: entry (i, j) is the leaf where
-    the play of player I's i-th and player II's j-th restricted strategy
-    ends, strategies listed leftmost choices first.
-
-    Built bottom-up in one pass.  A leaf ends every play at itself and a
-    lone successor passes its table up.  Where I moves, I's strategies
-    are those of either successor and II's are pairs of one per
-    successor, left-major; where II moves, the other way round."""
-    below: dict[Seq, list[list[Seq]]] = {}
-    for node in reversed(tree.sorted_nodes):
-        kids = tree.children(node)
-        if not kids:
-            below[node] = [[node]]
-        elif len(kids) == 1:
-            below[node] = below.pop(kids[0])
-        else:
-            left, right = below.pop(kids[0]), below.pop(kids[1])
-            if mover_at(len(node)) is Player.I:
-                # II's column j * width + k answers the left side with its
-                # j-th strategy and the right side with its k-th.
-                width = len(right[0])
-                below[node] = [[end for end in row for _ in range(width)] for row in left]
-                below[node] += [row * len(left[0]) for row in right]
-            else:
-                below[node] = [row + other for row in left for other in right]
-    return below[()]
 
 
 def quotient_positions(tree: FiniteTree, owner: Player) -> tuple[Seq, ...]:

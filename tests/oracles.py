@@ -639,10 +639,9 @@ def scan_by_walk(game: ReductionGame) -> ScanStats:
     return ScanStats(positions, max_length, max_moves)
 
 
-def deepest_branch(tree: FiniteTree) -> Seq:
-    """The leftmost branch of maximal height: from the root, step to the
-    leftmost successor whose subtree is tallest.  Subtree heights come
-    from one post-order pass over the child index."""
+def subtree_heights(tree: FiniteTree) -> dict[Seq, int]:
+    """The height of every node's subtree, from one post-order pass over
+    the child index."""
     below: dict[Seq, int] = {}
     stack: list[tuple[Seq, bool]] = [((), False)]
     while stack:
@@ -653,7 +652,30 @@ def deepest_branch(tree: FiniteTree) -> Seq:
         else:
             stack.append((node, True))
             stack.extend((kid, False) for kid in kids)
+    return below
+
+
+def deepest_branch(tree: FiniteTree) -> Seq:
+    """The leftmost branch of maximal height: from the root, step to the
+    leftmost successor whose subtree is tallest."""
+    below = subtree_heights(tree)
     node: Seq = ()
     while tree.children(node):
         node = max(tree.children(node), key=below.__getitem__)
     return node
+
+
+def height_policy_answers(tree: FiniteTree) -> dict[Seq, frozenset[int]]:
+    """The answers u0 after which player II wins the reduction game once
+    player I has built t, by the paper's height argument: the claim 0 at
+    a leaf, elsewhere the label of any child of maximal height.  I's rival
+    v must leave t by another child, so it outgrows u exactly when that
+    child is taller."""
+    below = subtree_heights(tree)
+    answers: dict[Seq, frozenset[int]] = {}
+    for node in tree:
+        kids = tree.children(node)
+        tallest = max((below[kid] for kid in kids), default=None)
+        tall = frozenset(kid[-1] for kid in kids if below[kid] == tallest)
+        answers[node] = tall or frozenset({0})
+    return answers

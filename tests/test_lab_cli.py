@@ -132,6 +132,7 @@ def test_cli_solve_def3(tree_file, capsys):
     assert cli.main(["solve", "--tree", tree_file, "--semantics", "def3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["def3_def4_agree"] is True
+    assert payload["oracle_checked"] is True
 
 
 def test_cli_solve_with_payoff(tree_file, tmp_path, capsys):

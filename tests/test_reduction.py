@@ -34,6 +34,7 @@ from oracles import (
     apply_rules,
     deepest_branch,
     encode_build_moves,
+    height_policy_answers,
     materialize_game_tree,
     phase2_pins,
     quotient_state,
@@ -421,6 +422,22 @@ def test_realizable_claim_traces_are_the_deepest_leaves():
         assert realized == {node for node in tree if len(node) == tree.height}
         total += len(realized)
     assert total == 54
+
+
+def test_phase3_entry_values_follow_the_heights():
+    # II wins from the entry to phase 3 iff the height oracle lists u0
+    rng = SplitMix64(0x4E17)
+    corpora = [ZERO_FREE_7, [relabel(shape, rng) for shape in enumerate_trees(6)]]
+    for corpus, expected in zip(corpora, (1017, 354)):
+        entries = 0
+        for tree in corpus:
+            answers = height_policy_answers(tree)
+            values, _ = retrograde(build_reduction_game(tree))
+            for st, won in values.items():
+                if st == reduction._phase3_entry(st.t, st.u0):
+                    assert (won is Player.II) == (st.u0 in answers[st.t]), (tree, st)
+                    entries += 1
+        assert entries == expected
 
 
 def test_answering_a_shallower_child_loses():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcgames.lab import SplitMix64
 from bcgames.players import Player, mover_at
+from bcgames.solver import normal_form
 from bcgames.strategy import (
     EXIT,
     MissingOpponentOption,
@@ -15,7 +16,6 @@ from bcgames.strategy import (
     UndefinedAt,
     enumerate_regular_quotient,
     parse_strategy,
-    play_table,
     quotient_count,
     realize_exit,
     serialize_strategy,
@@ -234,13 +234,13 @@ def test_intersection_is_path_and_matches_stepwise_play(tree):
 
 
 def test_play_table_examples():
-    assert play_table(validate_tree([()])) == [[()]]
+    assert normal_form(validate_tree([()])).rows == [[()]]
     # I picks a side: one row per choice, one column for II
-    assert play_table(T_FORK) == [[(1,)], [(2,)]]
+    assert normal_form(T_FORK).rows == [[(1,)], [(2,)]]
     # II's two strategies answer (1,) with (1, 1) or (1, 2); I's row for
     # (2,) ends there against both
     deep = validate_tree([(), (1,), (2,), (1, 1), (1, 2)])
-    assert play_table(deep) == [[(1, 1), (1, 2)], [(2,), (2,)]]
+    assert normal_form(deep).rows == [[(1, 1), (1, 2)], [(2,), (2,)]]
 
 
 def test_play_table_matches_pair_products():
@@ -250,7 +250,7 @@ def test_play_table_matches_pair_products():
     for tree in trees:
         sigmas = list(enumerate_restricted(tree, Player.I))
         taus = list(enumerate_restricted(tree, Player.II))
-        assert play_table(tree) == [[product_restricted(s, t) for t in taus] for s in sigmas]
+        assert normal_form(tree).rows == [[product_restricted(s, t) for t in taus] for s in sigmas]
 
 
 def test_restricted_to_regular_examples():
