@@ -189,9 +189,9 @@ def _cmd_fmt(args) -> int:
     if len(given) != 1:
         print("fmt needs exactly one of --tree, --payoff, --strategy", file=sys.stderr)
         return 2
-    if args.tree:
+    if args.tree is not None:
         text = serialize_tree(parse_tree(_read(args.tree)))
-    elif args.payoff:
+    elif args.payoff is not None:
         payoff = parse_payoff(_read(args.payoff))
         text = (
             serialize_diff(payoff)

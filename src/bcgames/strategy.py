@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .players import Player, mover_at, parse_player
-from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, format_node, parse_node_lines
+from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, format_preorder, parse_node_lines
 
 
 class StrategyError(Exception):
@@ -166,9 +166,8 @@ STRATEGY_HEADER = "strategy v1"
 
 def serialize_strategy(strategy: RestrictedStrategy) -> str:
     """Canonical text form mirroring the tree format; the root is implicit."""
-    lines = [f"{STRATEGY_HEADER} owner={strategy.owner.value}"]
-    lines += [format_node(node) for node in sorted(strategy.nodes) if node]
-    return "\n".join(lines) + "\n"
+    header = f"{STRATEGY_HEADER} owner={strategy.owner.value}"
+    return "\n".join([header, *format_preorder(sorted(strategy.nodes))]) + "\n"
 
 
 def parse_strategy(text: str) -> RestrictedStrategy:

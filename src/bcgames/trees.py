@@ -208,14 +208,27 @@ TREE_HEADER = "tree v1"
 
 def serialize_tree(tree: FiniteTree) -> str:
     """Canonical text form: header line, then one non-root node per line."""
-    lines = [TREE_HEADER]
-    lines += [format_node(node) for node in tree.sorted_nodes if node]
-    return "\n".join(lines) + "\n"
+    return "\n".join([TREE_HEADER, *format_preorder(tree.sorted_nodes)]) + "\n"
 
 
 def format_node(node: Seq) -> str:
     """One node written as space-separated naturals, as ``parse_node`` reads it."""
     return " ".join(map(str, node))
+
+
+def format_preorder(nodes: Iterable[Seq]) -> list[str]:
+    """The ``format_node`` line of every non-root node of a prefix-closed
+    sequence in preorder, each made as its parent's line plus its label."""
+    heads = [""]  # heads[d]: the line of the last node at depth d, plus a space
+    lines = []
+    for node in nodes:
+        if node:
+            depth = len(node)
+            line = heads[depth - 1] + str(node[-1])
+            del heads[depth:]
+            heads.append(line + " ")
+            lines.append(line)
+    return lines
 
 
 def parse_node(text: str, lineno: int, error: Callable[[int, str], Exception]) -> Seq:
@@ -225,22 +238,35 @@ def parse_node(text: str, lineno: int, error: Callable[[int, str], Exception]) -
         node = tuple(map(int, text.split()))
     except ValueError:
         raise error(lineno, f"not a sequence of naturals: {text!r}") from None
-    if node and min(node) < 0:
+    if "-" in text and min(node) < 0:  # int() reads only "-" as a minus sign
         raise error(lineno, f"negative entry in {text!r}")
     return node
 
 
 def parse_node_lines(lines: list[str], error: Callable[[int, str], Exception]) -> frozenset[Seq]:
     """The root plus one node per non-blank line after the header line;
-    duplicate node lines are rejected."""
+    duplicate node lines are rejected.  Only the last line read at each
+    depth is kept: a line that is the one a depth up, a space and a
+    natural reads as that line's node plus one label, so a file in
+    preorder costs one label per line.  Any other line goes through
+    ``parse_node``; the nodes and errors are the same either way."""
     nodes: set[Seq] = {ROOT}
+    last = {0: ("", ROOT)}  # depth -> text and node of the last line read there
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        node = parse_node(raw, lineno, error)
+        head, _, label = raw.rpartition(" ")
+        # A single-spaced line at depth d has d - 1 spaces: its parent's depth.
+        text, parent = last.get(raw.count(" "), (None, ROOT))
+        try:
+            x = int(label) if text == head else -1
+        except ValueError:
+            x = -1
+        node = parent + (x,) if x >= 0 else parse_node(raw, lineno, error)
         if node in nodes:
             raise error(lineno, f"duplicate node {node!r}")
         nodes.add(node)
+        last[len(node)] = (raw, node)
     return frozenset(nodes)
 
 

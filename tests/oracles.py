@@ -3,7 +3,7 @@
 Each one restates a rule of the library in the most literal way
 available, so the tests can compare the library's fast paths against it:
 the tree rules checked in sorted order, a node line parsed part by part,
-the exit rule read two ways, a clopen payoff read by scanning every
+a node-line file read with one full parse per line, the exit rule read two ways, a clopen payoff read by scanning every
 entry, the settling prefix of a play, the four terminal rules of the
 reduction game applied to decoded pieces, a play scored move by move,
 the reduction game's positions as an explicit tree, claim traces decided
@@ -70,6 +70,7 @@ from bcgames.trees import (
     TooManySuccessors,
     TreeError,
     child_index,
+    parse_node,
 )
 
 
@@ -125,6 +126,20 @@ def parse_node_by_parts(text: str, lineno: int, error: Callable[[int, str], Exce
     if any(x < 0 for x in node):
         raise error(lineno, f"negative entry in {text!r}")
     return node
+
+
+def read_node_lines_by_line(lines: list[str], error: Callable[[int, str], Exception]) -> frozenset[Seq]:
+    """The root plus one node per non-blank line after the header line,
+    each line parsed in full; duplicate node lines are rejected."""
+    nodes: set[Seq] = {()}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        node = parse_node(raw, lineno, error)
+        if node in nodes:
+            raise error(lineno, f"duplicate node {node!r}")
+        nodes.add(node)
+    return frozenset(nodes)
 
 
 @st.composite

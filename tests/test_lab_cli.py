@@ -204,6 +204,15 @@ def test_cli_file_errors_print_one_error_line(tree_file, tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("option", ["--tree", "--payoff", "--strategy"])
+def test_cli_fmt_empty_path_prints_one_error_line(option, capsys):
+    # An empty path is still the one option given, so it is read, not skipped.
+    assert cli.main(["fmt", option, ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["solve"])  # --tree is required

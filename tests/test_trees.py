@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bcgames.strategy import StrategySyntaxError
 from bcgames.trees import (
     FiniteTree,
     MissingPrefix,
@@ -10,15 +13,25 @@ from bcgames.trees import (
     TreeSyntaxError,
     child_index,
     enumerate_trees,
+    format_node,
+    format_preorder,
     is_zero_free,
     parse_node,
+    parse_node_lines,
     parse_tree,
     serialize_tree,
     subtree,
     validate_tree,
     zero_free_transform,
 )
-from oracles import check_tree_by_sorting, messy_text, node_sets, parse_node_by_parts, sparse_trees
+from oracles import (
+    check_tree_by_sorting,
+    messy_text,
+    node_sets,
+    parse_node_by_parts,
+    read_node_lines_by_line,
+    sparse_trees,
+)
 
 CORPUS_6 = list(enumerate_trees(6))
 
@@ -160,6 +173,73 @@ def test_parse_node_matches_part_by_part_reference(text):
     assert parsed_or_error(parse_node, text) == parsed_or_error(parse_node_by_parts, text)
 
 
+# What a line may add to the line before it: a messy last token, a
+# trailing tab or space, a doubled space, or any node part.
+LAST_TOKENS = st.one_of(
+    st.sampled_from(["-3", "-0", "1_0", "\u0663", "x", "7\t", "7 ", " 7", "7"]),
+    NODE_PARTS,
+)
+
+
+@st.composite
+def node_lines(draw) -> list[str]:
+    """A sparse tree's lines in preorder, with lines that extend the line
+    just before them by one more token, duplicate lines and blank lines."""
+    lines = [format_node(node) for node in sorted(draw(sparse_trees())) if node]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, (lines[at - 1] + " " if at else "") + draw(LAST_TOKENS))
+    if lines:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return lines
+
+
+def read_or_error(read, lines, error):
+    try:
+        return read(lines, error)
+    except error as exc:
+        return type(exc), exc.line, str(exc)
+
+
+@given(
+    st.sampled_from([("tree v1", TreeSyntaxError), ("strategy v1 owner=I", StrategySyntaxError)]),
+    node_lines(),
+    st.booleans(),
+    st.data(),
+)
+def test_node_line_reader_matches_reference(codec, lines, shuffle, data):
+    header, error = codec
+    text = data.draw(messy_text(header, lines)) if shuffle else "\n".join([header, *lines]) + "\n"
+    rows = text.splitlines()
+    assert read_or_error(parse_node_lines, rows, error) == read_or_error(read_node_lines_by_line, rows, error)
+
+
+def test_node_line_reader_shares_parent_labels():
+    # Every label is 777, past the interpreter's small-int cache, so a
+    # reader that parses each line in full holds n²/2 distinct ints.
+    lines = ["tree v1", *(" ".join(["777"] * depth) for depth in range(1, 1001))]
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(lines, TreeSyntaxError)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert parse_node_lines(lines, TreeSyntaxError) == read_node_lines_by_line(lines, TreeSyntaxError)
+    assert peak(parse_node_lines) < peak(read_node_lines_by_line) / 2
+
+
+def test_preorder_writer_matches_format_node():
+    trees = [*CORPUS_6, validate_tree([(1,) * i for i in range(2001)])]
+    for tree in trees:
+        assert format_preorder(tree.sorted_nodes) == [format_node(n) for n in tree.sorted_nodes if n]
+
+
 def test_sorted_nodes_is_tuple_order():
     trees = list(enumerate_trees(7))
     trees.append(validate_tree([(1,) * i for i in range(2001)]))
@@ -185,6 +265,7 @@ def test_codec_round_trip(tree):
 @given(sparse_trees(), st.data())
 def test_codec_canonical_from_messy_text(nodes, data):
     lines = [" ".join(map(str, node)) for node in sorted(nodes) if node]
+    assert format_preorder(sorted(nodes)) == lines
     canonical = "\n".join(["tree v1", *lines]) + "\n"
     parsed = parse_tree(data.draw(messy_text("tree v1", lines)))
     assert parsed.nodes == nodes
