@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation or infeasibility error, 2 usage
-error, 3 campaign suite failure.
+error, 3 campaign suite failure, or a replayed counterexample that still
+fails.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def _cmd_lab(args) -> int:
         max_size=args.max_size,
         payoffs_per_tree=args.payoffs_per_tree,
         seed=args.seed,
-        suites=suites or lab.SUITE_NAMES,
+        suites=suites,
     )
     started = time.monotonic()
     report = lab.run_campaign(cfg)
@@ -219,6 +220,17 @@ def _cmd_lab(args) -> int:
     _write_out(text, args.out)
     print(f"campaign wall-clock: {elapsed:.2f}s", file=sys.stderr)
     return 0 if report.ok else 3
+
+
+def _cmd_replay(args) -> int:
+    try:
+        report = json.loads(_read(args.report))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.report} is not a JSON lab report: {exc}") from None
+    replayed = lab.replay(report)
+    for _, record in replayed:
+        print(json.dumps(record, sort_keys=True))
+    return 0 if all(ok for ok, _ in replayed) else 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,6 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
     lab_p.add_argument("--json", action="store_true")
     lab_p.add_argument("--out", default=None)
     lab_p.set_defaults(func=_cmd_lab)
+
+    replay_p = sub.add_parser("replay", help="re-run the counterexamples of a lab --json report")
+    replay_p.add_argument("--report", required=True)
+    replay_p.set_defaults(func=_cmd_replay)
 
     return parser
 

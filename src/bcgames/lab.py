@@ -1,12 +1,17 @@
 """Verification campaigns over enumerated instance corpora.
 
-Every suite replays an exhaustive or seeded family of instances and
-cross-checks independent routes against each other: the solver against
-the restricted-strategy brute force, the two determinacy readings
-against one another, the reduction game against its invariants and
-bounds, and the embedding round trip.  Campaign randomness comes from
-SplitMix64, a fixed 64-bit generator implemented here so that the same
-seed reproduces the same corpus on any platform.
+Every suite is a deterministic instance stream plus one check, which
+cross-checks independent routes against each other on an instance: the
+solver against the restricted-strategy brute force, the two determinacy
+readings against one another, the reduction game against its invariants
+and bounds, and the embedding round trip.  Campaign randomness comes
+from SplitMix64, a fixed 64-bit generator implemented here so that the
+same seed reproduces the same corpus on any platform.
+
+A counterexample record is the failing instance's fields merged with
+the check's outcome.  ``replay`` reads a record back into its instance
+and runs the same check, so a replayed record reproduces its outcome by
+construction.
 
 A report is a deterministic function of its configuration: identical
 config means byte-identical rendered output.  Timing therefore never
@@ -15,11 +20,11 @@ appears in a report; the command line prints it separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 from .embedding import build_rho, pull_back_strategy, push_game
-from .payoff import ClopenAntichain, parse_payoff, serialize_payoff
+from .payoff import ClopenAntichain, PayoffError, parse_payoff, serialize_payoff
 from .players import Player
 from .reduction import (
     BranchReport,
@@ -32,12 +37,10 @@ from .reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from .solver import Game, brute_force_oracle, check_def3_def4, normal_form, solve, verify_winning
-from .trees import FiniteTree, enumerate_trees, parse_tree, serialize_tree
+from .solver import Game, check_def3_def4, normal_form, solve, verify_winning
+from .trees import FiniteTree, TreeError, enumerate_trees, parse_tree, serialize_tree
 
 _MASK = (1 << 64) - 1
-
-SUITE_NAMES = ("oracle", "def34", "reduction", "bounds", "embedding")
 
 #: Seeded games the embedding suite draws per campaign.
 EMBEDDING_INSTANCES = 200
@@ -99,6 +102,179 @@ def game_for(tree: FiniteTree, payoff: ClopenAntichain) -> Game:
     return Game(tree, payoff, payoff.decision_depth)
 
 
+def _oracle_stream(cfg: CampaignConfig) -> Iterator[tuple]:
+    for index, tree in enumerate(enumerate_trees(cfg.max_size)):
+        form = normal_form(tree)
+        for payoff in random_payoffs(tree, cfg.payoffs_per_tree, cfg.seed + index, depth=4):
+            yield tree, payoff, form
+
+
+def _check_oracle(instance: tuple) -> tuple[bool, dict]:
+    """Solver winner versus restricted-strategy brute force, read off the
+    tree's normal form, plus the winner's certificate."""
+    tree, payoff, form = instance
+    game = game_for(tree, payoff)
+    solved = solve(game)
+    oracle = form.winner(game)
+    certified = verify_winning(game, solved.strategy) is None
+    ok = solved.winner is oracle and certified
+    return ok, {"solver": solved.winner.value, "oracle": oracle.value, "certified": certified}
+
+
+def _def34_stream(cfg: CampaignConfig) -> Iterator[tuple]:
+    for index, tree in enumerate(enumerate_trees(min(cfg.max_size, 5))):
+        for payoff in random_payoffs(tree, cfg.payoffs_per_tree, cfg.seed + index, depth=4):
+            yield tree, payoff
+
+
+def _check_def34(instance: tuple) -> tuple[bool, dict]:
+    """Agreement of the two determinacy readings."""
+    report = check_def3_def4(game_for(*instance))
+    outcome = {"regular": report.regular_winner.value, "restricted": report.restricted_winner.value}
+    return report.agree, outcome
+
+
+def _reduction_stream(cfg: CampaignConfig) -> Iterator[tuple]:
+    return ((tree,) for tree in enumerate_trees(min(cfg.max_size, 9), zero_free=True))
+
+
+def _check_reduction(instance: tuple) -> tuple[bool, dict]:
+    """Player II wins the reduction game, certified, with at most two
+    legal moves at every reachable position and a bounded play length."""
+    (tree,) = instance
+    solved = solve_reduction(tree)
+    game = build_reduction_game(tree)
+    counterplay = verify_winning_policy(game, solved.strategy)
+    stats = scan_positions(game)
+    ok = (
+        solved.winner is Player.II
+        and counterplay is None
+        and stats.max_moves <= 2
+        and stats.max_length <= horizon_bound(tree)
+    )
+    return ok, {
+        "winner": solved.winner.value,
+        "counterplay": counterplay,
+        "max_moves": stats.max_moves,
+        "max_length": stats.max_length,
+    }
+
+
+def _bounds_stream(cfg: CampaignConfig) -> Iterator[tuple]:
+    yield from _reduction_stream(cfg)
+    for tree in enumerate_trees(min(cfg.max_size, 5), zero_free=True):
+        for node, realizable in realizable_claim_traces(tree):
+            if realizable:
+                yield tree, node
+
+
+def _check_bounds(instance: tuple) -> tuple[bool, dict]:
+    """Cardinality bounds for the branch extracted from the solver's
+    policy, or for a claim at the end of a realizable claim trace."""
+    if len(instance) == 2:
+        tree, node = instance
+        report = BranchReport(node, len(node))
+        return not tree.children(node) and check_cardinality_bound(tree, report), {}
+    (tree,) = instance
+    report = extract_branch(tree, solve_reduction(tree).strategy)
+    ok = report.fail_index is not None and check_cardinality_bound(tree, report)
+    return ok, {"f": list(report.f), "fail_index": report.fail_index}
+
+
+def _embedding_stream(cfg: CampaignConfig) -> Iterator[tuple]:
+    corpus = list(enumerate_trees(min(cfg.max_size, 9)))
+    rng = SplitMix64(cfg.seed ^ 0xE3BEDD1)
+    for i in range(EMBEDDING_INSTANCES):
+        tree = corpus[rng.below(len(corpus))]
+        yield tree, random_payoffs(tree, 1, cfg.seed + 7919 * i, depth=4)[0]
+
+
+def _check_embedding(instance: tuple) -> tuple[bool, dict]:
+    """Winner preservation through the {0,1} embedding, plus
+    certification of the pulled-back strategy."""
+    game = game_for(*instance)
+    rho = build_rho(game.tree)
+    source = solve(game)
+    image = solve(push_game(rho, game))
+    pulled = pull_back_strategy(rho, image.strategy)
+    ok = source.winner is image.winner and verify_winning(game, pulled) is None
+    return ok, {"source": source.winner.value, "image": image.winner.value}
+
+
+def _clopen(text: str) -> ClopenAntichain:
+    payoff = parse_payoff(text)
+    if not isinstance(payoff, ClopenAntichain):
+        raise ValueError("is not a clopen payoff")
+    return payoff
+
+
+def _naturals(items: list) -> tuple[int, ...]:
+    if not all(type(x) is int and x >= 0 for x in items):
+        raise ValueError("is not a list of naturals")
+    return tuple(items)
+
+
+#: Each instance field's type in a record, its writer and its reader.
+_CODECS = {
+    "tree": (str, serialize_tree, parse_tree),
+    "payoff": (str, serialize_payoff, _clopen),
+    "claimed_at": (list, list, _naturals),
+}
+
+
+class Suite(NamedTuple):
+    """A deterministic instance stream and the one check every instance
+    goes through.  An instance is a plain tuple that starts with the
+    record fields named in ``fields``; a record, and its instance, may
+    leave out those in ``optional``.  ``prepare`` turns the fields read
+    back from a record into the instance the stream yields."""
+
+    stream: Callable[[CampaignConfig], Iterator[tuple]]
+    check: Callable[[tuple], tuple[bool, dict]]
+    fields: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    prepare: Callable[[tuple], tuple] = tuple
+
+
+SUITES = {
+    "oracle": Suite(
+        _oracle_stream,
+        _check_oracle,
+        ("tree", "payoff"),
+        prepare=lambda fields: (*fields, normal_form(fields[0])),
+    ),
+    "def34": Suite(_def34_stream, _check_def34, ("tree", "payoff")),
+    "reduction": Suite(_reduction_stream, _check_reduction, ("tree",)),
+    "bounds": Suite(_bounds_stream, _check_bounds, ("tree", "claimed_at"), ("claimed_at",)),
+    "embedding": Suite(_embedding_stream, _check_embedding, ("tree", "payoff")),
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
+def _record(suite: Suite, instance: tuple, outcome: dict) -> dict:
+    record = {name: _CODECS[name][1](value) for name, value in zip(suite.fields, instance)}
+    return {**record, **outcome}
+
+
+def _instance(suite: Suite, record: object) -> tuple:
+    if not isinstance(record, dict):
+        raise ValueError("is not an object")
+    fields = []
+    for name in suite.fields:
+        if name in record:
+            kind, _, read = _CODECS[name]
+            try:
+                if not isinstance(record[name], kind):
+                    raise ValueError(f"is not a {kind.__name__}")
+                fields.append(read(record[name]))
+            except (TreeError, PayoffError, ValueError) as exc:
+                raise ValueError(f"{name} {exc}") from None
+        elif name not in suite.optional:
+            raise ValueError(f"has no {name}")
+    return suite.prepare(tuple(fields))
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     max_size: int = 6
@@ -128,13 +304,6 @@ class SuiteResult:
     failed: int = 0
     counterexamples: list[dict] = field(default_factory=list)
 
-    def record(self, ok: bool, counterexample: Callable[[], dict]) -> None:
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.counterexamples.append(counterexample())
-
 
 @dataclass
 class Report:
@@ -160,198 +329,58 @@ class Report:
             total = suite.passed + suite.failed
             lines.append(f"suite {suite.name}: {suite.passed}/{total} pass")
             for ce in suite.counterexamples:
-                lines.append("  counterexample: " + _render_counterexample(ce))
+                lines.append("  counterexample: " + " ".join(f"{k}={ce[k]!r}" for k in sorted(ce)))
         lines.append(f"total instances: {self.total}")
         lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        return {
-            "config": {
-                "max_size": self.config.max_size,
-                "payoffs_per_tree": self.config.payoffs_per_tree,
-                "seed": self.config.seed,
-                "suites": list(self.config.suites),
-            },
-            "suites": [
-                {
-                    "name": s.name,
-                    "passed": s.passed,
-                    "failed": s.failed,
-                    "counterexamples": s.counterexamples,
-                }
-                for s in self.suites
-            ],
-            "total": self.total,
-            "ok": self.ok,
-        }
-
-
-def _render_counterexample(ce: dict) -> str:
-    parts = [f"{key}={ce[key]!r}" for key in sorted(ce)]
-    return " ".join(parts)
-
-
-def _payoff_record(tree: FiniteTree, payoff: ClopenAntichain, **extra) -> dict:
-    record = {"tree": serialize_tree(tree), "payoff": serialize_payoff(payoff)}
-    record.update(extra)
-    return record
-
-
-def run_suite_oracle(cfg: CampaignConfig) -> SuiteResult:
-    """Solver winner versus restricted-strategy brute force, plus the
-    winner's certificate, over every canonical tree and seeded payoff."""
-    result = SuiteResult("oracle")
-    for index, tree in enumerate(enumerate_trees(cfg.max_size)):
-        form = normal_form(tree)
-        payoffs = random_payoffs(tree, cfg.payoffs_per_tree, cfg.seed + index, depth=4)
-        for payoff in payoffs:
-            game = game_for(tree, payoff)
-            solved = solve(game)
-            oracle = form.winner(game)
-            certified = verify_winning(game, solved.strategy) is None
-            ok = solved.winner is oracle and certified
-            result.record(
-                ok,
-                lambda t=tree, p=payoff, s=solved, o=oracle, c=certified: _payoff_record(
-                    t, p, solver=s.winner.value, oracle=o.value, certified=c
-                ),
-            )
-    return result
-
-
-def run_suite_def34(cfg: CampaignConfig) -> SuiteResult:
-    """Agreement of the two determinacy readings on the small corpus."""
-    result = SuiteResult("def34")
-    for index, tree in enumerate(enumerate_trees(min(cfg.max_size, 5))):
-        payoffs = random_payoffs(tree, cfg.payoffs_per_tree, cfg.seed + index, depth=4)
-        for payoff in payoffs:
-            report = check_def3_def4(game_for(tree, payoff))
-            result.record(
-                report.agree,
-                lambda t=tree, p=payoff, r=report: _payoff_record(
-                    t,
-                    p,
-                    regular=r.regular_winner.value,
-                    restricted=r.restricted_winner.value,
-                ),
-            )
-    return result
-
-
-def run_suite_reduction(cfg: CampaignConfig) -> SuiteResult:
-    """Player II wins every reduction game, certified, with at most two
-    legal moves at every reachable position and a bounded play length."""
-    result = SuiteResult("reduction")
-    for tree in enumerate_trees(min(cfg.max_size, 9), zero_free=True):
-        solved = solve_reduction(tree)
-        game = build_reduction_game(tree)
-        counterplay = verify_winning_policy(game, solved.strategy)
-        stats = scan_positions(game)
-        ok = (
-            solved.winner is Player.II
-            and counterplay is None
-            and stats.max_moves <= 2
-            and stats.max_length <= horizon_bound(tree)
-        )
-        result.record(
-            ok,
-            lambda t=tree, s=solved, c=counterplay, st=stats: {
-                "tree": serialize_tree(t),
-                "winner": s.winner.value,
-                "counterplay": c,
-                "max_moves": st.max_moves,
-                "max_length": st.max_length,
-            },
-        )
-    return result
-
-
-def run_suite_bounds(cfg: CampaignConfig) -> SuiteResult:
-    """Cardinality bounds for the branch extracted from the solver's
-    policy everywhere, and from every winning policy on small trees."""
-    result = SuiteResult("bounds")
-    for tree in enumerate_trees(min(cfg.max_size, 9), zero_free=True):
-        solved = solve_reduction(tree)
-        report = extract_branch(tree, solved.strategy)
-        ok = report.fail_index is not None and check_cardinality_bound(tree, report)
-        result.record(
-            ok,
-            lambda t=tree, r=report: {
-                "tree": serialize_tree(t),
-                "f": list(r.f),
-                "fail_index": r.fail_index,
-            },
-        )
-    for tree in enumerate_trees(min(cfg.max_size, 5), zero_free=True):
-        for node, realizable in realizable_claim_traces(tree):
-            if not realizable:
-                continue
-            trace_ok = not tree.children(node) and check_cardinality_bound(
-                tree, BranchReport(node, len(node))
-            )
-            result.record(
-                trace_ok,
-                lambda t=tree, n=node: {"tree": serialize_tree(t), "claimed_at": list(n)},
-            )
-    return result
-
-
-def run_suite_embedding(cfg: CampaignConfig) -> SuiteResult:
-    """Winner preservation through the {0,1} embedding plus certification
-    of the pulled-back strategy, on seeded instances."""
-    result = SuiteResult("embedding")
-    corpus = list(enumerate_trees(min(cfg.max_size, 9)))
-    rng = SplitMix64(cfg.seed ^ 0xE3BEDD1)
-    for i in range(EMBEDDING_INSTANCES):
-        tree = corpus[rng.below(len(corpus))]
-        payoff = random_payoffs(tree, 1, cfg.seed + 7919 * i, depth=4)[0]
-        game = game_for(tree, payoff)
-        rho = build_rho(tree)
-        pushed = push_game(rho, game)
-        source = solve(game)
-        image = solve(pushed)
-        pulled = pull_back_strategy(rho, image.strategy)
-        ok = source.winner is image.winner and verify_winning(game, pulled) is None
-        result.record(
-            ok,
-            lambda t=tree, p=payoff, s=source, m=image: _payoff_record(
-                t, p, source=s.winner.value, image=m.winner.value
-            ),
-        )
-    return result
-
-
-_SUITE_RUNNERS = {
-    "oracle": run_suite_oracle,
-    "def34": run_suite_def34,
-    "reduction": run_suite_reduction,
-    "bounds": run_suite_bounds,
-    "embedding": run_suite_embedding,
-}
+        return {**asdict(self), "total": self.total, "ok": self.ok}
 
 
 def run_campaign(cfg: CampaignConfig) -> Report:
-    """Run the configured suites in declaration order and merge results
-    deterministically."""
-    suites = [_SUITE_RUNNERS[name](cfg) for name in cfg.suites]
-    return Report(cfg, suites)
+    """Run the configured suites in declaration order: each instance of a
+    suite's stream goes through its check, and a failing one is recorded."""
+    results = []
+    for name in cfg.suites:
+        suite = SUITES[name]
+        result = SuiteResult(name)
+        for instance in suite.stream(cfg):
+            ok, outcome = suite.check(instance)
+            if ok:
+                result.passed += 1
+            else:
+                result.failed += 1
+                result.counterexamples.append(_record(suite, instance, outcome))
+        results.append(result)
+    return Report(cfg, results)
 
 
-def replay_counterexample(record: dict) -> dict:
-    """Re-run the solver routes on a recorded instance.
-
-    Feeding back a counterexample reproduces the recorded outcome, which
-    is what makes campaign failures debuggable offline.
-    """
-    tree = parse_tree(record["tree"])
-    out: dict = {}
-    if "payoff" in record:
-        payoff = parse_payoff(record["payoff"])
-        game = game_for(tree, payoff)
-        out["solver"] = solve(game).winner.value
-        out["oracle"] = brute_force_oracle(game).value
-    else:
-        solved = solve_reduction(tree)
-        out["winner"] = solved.winner.value
-    return out
+def replay(report: dict) -> list[tuple[bool, dict]]:
+    """Re-run every counterexample of a ``lab --json`` report, in report
+    order, through the check that recorded it: whether each instance now
+    passes, and the record its check gives now.  Every record is read
+    back into its instance first, so one whose fields cannot be read
+    raises ``ValueError`` before any check runs; an instance a check
+    refuses, such as a claim off its tree, raises that check's error."""
+    suites = report.get("suites") if isinstance(report, dict) else None
+    if not isinstance(suites, list):
+        raise ValueError("a lab report is a JSON object with a suites list")
+    instances = []
+    for entry in suites:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if name not in SUITE_NAMES:
+            raise ValueError(f"unknown suite in report: {name!r}")
+        suite, records = SUITES[name], entry.get("counterexamples")
+        if not isinstance(records, list):
+            raise ValueError(f"suite {name}: counterexamples is not a list")
+        for index, record in enumerate(records):
+            try:
+                instances.append((suite, _instance(suite, record)))
+            except ValueError as exc:
+                raise ValueError(f"suite {name} counterexample {index}: {exc}") from None
+    replayed = []
+    for suite, instance in instances:
+        ok, outcome = suite.check(instance)
+        replayed.append((ok, _record(suite, instance, outcome)))
+    return replayed

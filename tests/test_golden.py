@@ -15,7 +15,11 @@ are represented cannot change the game they describe.  The embed digest
 pins every byte of ``embed --json`` over the size <= 7 corpus relabelled
 with sparse drawn labels, under the exit payoff and two seeded campaign
 payoffs per tree, so that two-child parents order their successors by
-value and a lone child sits on either label.
+value and a lone child sits on either label.  The lab digest pins every
+byte of the default ``lab`` report, of one ``lab --json`` report, and of
+a failing campaign's report, rendered and as JSON: the failing campaign
+runs with every suite's route in ``faults`` patched in, so its
+counterexample records are pinned too.
 """
 
 import contextlib
@@ -24,17 +28,19 @@ import io
 import json
 
 from bcgames import cli
-from bcgames.lab import SplitMix64, random_payoffs
+from bcgames.lab import CampaignConfig, SplitMix64, random_payoffs, run_campaign
 from bcgames.payoff import serialize_payoff
 from bcgames.reduction import scan_positions
 from bcgames.solver import retrograde
 from bcgames.trees import enumerate_trees, serialize_tree
+from faults import patch_faults
 from oracles import FullReductionGame, relabel
 
 SOLVE_DIGEST = "7fa760ae4bd8aa2775bdeb31ea6832744086676ed5194ae5c9c0dccc06bcf8fe"
 REDUCE_DIGEST = "704293befd736b4d520ccd84bfe393c82f75552ad484ac4776e3d49b4051c5ea"
 STATE_DIGEST = "b1c79e344405e96e5fc454600863f5527c1b64e940d04a48f6b8138c3e2919e5"
 EMBED_DIGEST = "ad1875758ff8146ffab6b86d5bfe8a113d3d3e912d0f7090e004574add48d830"
+LAB_DIGEST = "7edc7263a51a95967550b9f63b66f0b0e86f0a25fb19045ca7a81e2322a091aa"
 
 # Read by name, in declared order, so the digest does not depend on how
 # a state is stored.
@@ -108,6 +114,18 @@ def state_digest() -> str:
     return digest.hexdigest()
 
 
+def lab_digest(monkeypatch) -> str:
+    digest = hashlib.sha256()
+    digest.update(_stdout(["lab"]).encode())
+    digest.update(_stdout(["lab", "--json", "--max-size", "5", "--seed", "7"]).encode())
+    patch_faults(monkeypatch)
+    report = run_campaign(CampaignConfig(max_size=6, payoffs_per_tree=3, seed=5))
+    assert not report.ok
+    digest.update(report.render().encode())
+    digest.update((json.dumps(report.to_json(), sort_keys=True) + "\n").encode())
+    return digest.hexdigest()
+
+
 def test_solve_payloads_match_golden_digest(tmp_path):
     assert solve_digest(tmp_path) == SOLVE_DIGEST
 
@@ -122,3 +140,7 @@ def test_reduction_states_match_golden_digest():
 
 def test_embed_payloads_match_golden_digest(tmp_path):
     assert embed_digest(tmp_path) == EMBED_DIGEST
+
+
+def test_lab_reports_match_golden_digest(monkeypatch):
+    assert lab_digest(monkeypatch) == LAB_DIGEST

@@ -4,18 +4,10 @@ import sys
 
 import pytest
 
-from bcgames import cli
-from bcgames.lab import (
-    CampaignConfig,
-    SplitMix64,
-    game_for,
-    random_payoffs,
-    replay_counterexample,
-    run_campaign,
-)
-from bcgames.payoff import serialize_payoff
-from bcgames.solver import brute_force_oracle, solve
+from bcgames import cli, lab
+from bcgames.lab import CampaignConfig, SplitMix64, random_payoffs, run_campaign
 from bcgames.trees import serialize_tree, validate_tree
+from faults import FAULTS, patch_faults
 
 T_FORK = validate_tree([(), (1,), (2,)])
 
@@ -105,13 +97,87 @@ def test_lab_without_trees_is_an_error(max_size, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_replay_counterexample_reproduces_outcome():
-    payoff = random_payoffs(T_FORK, 1, seed=3, depth=2)[0]
-    record = {"tree": serialize_tree(T_FORK), "payoff": serialize_payoff(payoff)}
-    played = replay_counterexample(record)
-    game = game_for(T_FORK, payoff)
-    assert played["solver"] == solve(game).winner.value
-    assert played["oracle"] == brute_force_oracle(game).value
+@pytest.mark.parametrize("suites", [",", ""])
+def test_lab_with_no_suite_names_is_an_error(suites, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert cli.main(["lab", "--max-size", "3", "--suites", suites, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: suites must name at least one suite\n"
+    assert not out.exists()
+
+
+def _replay_lines(path, code: int, capsys) -> list[str]:
+    assert cli.main(["replay", "--report", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.splitlines()
+
+
+@pytest.mark.parametrize("suite", list(FAULTS))
+def test_replay_reproduces_every_counterexample(suite, monkeypatch, tmp_path, capsys):
+    patch_faults(monkeypatch, [suite])
+    path = tmp_path / "report.json"
+    argv = ["lab", "--max-size", "6", "--payoffs-per-tree", "3", "--seed", "5"]
+    assert cli.main([*argv, "--suites", suite, "--json", "--out", str(path)]) == 3
+    capsys.readouterr()
+    report = json.loads(path.read_text(encoding="utf-8"))
+    (result,) = report["suites"]
+    records = [json.dumps(record, sort_keys=True) for record in result["counterexamples"]]
+    assert len(records) == result["failed"] > 0
+    replayed = lab.replay(report)
+    assert [ok for ok, _ in replayed] == [False] * len(records)
+    assert [json.dumps(record, sort_keys=True) for _, record in replayed] == records
+    assert _replay_lines(path, 3, capsys) == records
+    monkeypatch.undo()
+    assert all(ok for ok, _ in lab.replay(report))
+    assert len(_replay_lines(path, 0, capsys)) == len(records)
+
+
+TREE = "tree v1\n1\n"
+CLOPEN = "payoff clopen v1\ndefault: I\n"
+DEF34 = {"tree": TREE, "payoff": CLOPEN, "regular": "I", "restricted": "I"}
+
+
+def _report(name: str, record: dict) -> dict:
+    # A well-formed record comes first, so a check run before the whole
+    # report is read would show.
+    return {"suites": [{"name": "def34", "counterexamples": [DEF34]},
+                       {"name": name, "counterexamples": [record]}]}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        "campaign v1\n",
+        {"config": {}, "ok": True},
+        _report("bogus", DEF34),
+        _report("reduction", {"winner": "II"}),
+        _report("oracle", {**DEF34, "payoff": "payoff diff v1 k=1\nlevel 1:\n1\n"}),
+        _report("bounds", {"tree": TREE, "claimed_at": [1, -1]}),
+        _report("bounds", {"tree": TREE, "claimed_at": "1"}),
+        _report("def34", {"tree": TREE, "regular": "I", "restricted": "I"}),
+    ],
+    ids=[
+        "not-json", "no-suites", "unknown-suite", "no-tree", "diff-payoff",
+        "negative-claim", "claim-not-a-list", "def34-without-payoff",
+    ],
+)
+def test_replay_rejects_a_malformed_report(report, monkeypatch, tmp_path, capsys):
+    def no_check(instance):
+        raise AssertionError("a check ran before the report was read")
+
+    for name, suite in lab.SUITES.items():
+        monkeypatch.setitem(lab.SUITES, name, suite._replace(check=no_check))
+    if not isinstance(report, str):
+        with pytest.raises(ValueError):
+            lab.replay(report)
+    path = tmp_path / "report.json"
+    path.write_text(report if isinstance(report, str) else json.dumps(report), encoding="utf-8")
+    assert cli.main(["replay", "--report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 @pytest.fixture()
