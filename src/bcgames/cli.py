@@ -66,11 +66,10 @@ def _load_game(args) -> Game:
     if args.payoff is None:
         return exit_game(tree)
     payoff = parse_payoff(_read(args.payoff))
+    depth = payoff.decision_depth
     if isinstance(payoff, DiffPayoff):
-        depth = payoff.decision_depth
         payoff = compile_diff(payoff, tree)
-        return Game(tree, payoff, depth)
-    return Game(tree, payoff, payoff.decision_depth)
+    return Game(tree, payoff, depth)
 
 
 def _cmd_solve(args) -> int:

@@ -38,7 +38,7 @@ from .reduction import (
     verify_winning_policy,
 )
 from .solver import Game, check_def3_def4, normal_form, solve, verify_winning
-from .trees import FiniteTree, TreeError, enumerate_trees, parse_tree, serialize_tree
+from .trees import FiniteTree, TreeError, enumerate_trees, is_zero_free, parse_tree, serialize_tree
 
 _MASK = (1 << 64) - 1
 
@@ -201,6 +201,15 @@ def _check_embedding(instance: tuple) -> tuple[bool, dict]:
     return ok, {"source": source.winner.value, "image": image.winner.value}
 
 
+def _reducible(fields: tuple) -> tuple:
+    """Refuse what the reduction checks cannot take: a 0 label, a claim off the tree."""
+    if not is_zero_free(fields[0]):
+        raise ValueError("tree has a 0 label, which the reduction game reserves")
+    if fields[1:] and fields[1] not in fields[0]:
+        raise ValueError(f"claimed_at {list(fields[1])} is not a node of the tree")
+    return fields
+
+
 def _clopen(text: str) -> ClopenAntichain:
     payoff = parse_payoff(text)
     if not isinstance(payoff, ClopenAntichain):
@@ -244,8 +253,10 @@ SUITES = {
         prepare=lambda fields: (*fields, normal_form(fields[0])),
     ),
     "def34": Suite(_def34_stream, _check_def34, ("tree", "payoff")),
-    "reduction": Suite(_reduction_stream, _check_reduction, ("tree",)),
-    "bounds": Suite(_bounds_stream, _check_bounds, ("tree", "claimed_at"), ("claimed_at",)),
+    "reduction": Suite(_reduction_stream, _check_reduction, ("tree",), prepare=_reducible),
+    "bounds": Suite(
+        _bounds_stream, _check_bounds, ("tree", "claimed_at"), ("claimed_at",), _reducible
+    ),
     "embedding": Suite(_embedding_stream, _check_embedding, ("tree", "payoff")),
 }
 
@@ -361,8 +372,7 @@ def replay(report: dict) -> list[tuple[bool, dict]]:
     order, through the check that recorded it: whether each instance now
     passes, and the record its check gives now.  Every record is read
     back into its instance first, so one whose fields cannot be read
-    raises ``ValueError`` before any check runs; an instance a check
-    refuses, such as a claim off its tree, raises that check's error."""
+    raises ``ValueError`` before any check runs."""
     suites = report.get("suites") if isinstance(report, dict) else None
     if not isinstance(suites, list):
         raise ValueError("a lab report is a JSON object with a suites list")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .players import Player, mover_at
-from .trees import FiniteTree, Seq, format_node, parse_node
+from .players import Player, mover_at, parse_player
+from .trees import FiniteTree, Seq, format_node, parse_node, read_header
 
 
 class PayoffError(Exception):
@@ -51,29 +51,15 @@ def _is_prefix(p: Seq, x: Seq) -> bool:
 
 
 @dataclass(frozen=True)
-class OpenSet:
-    """An open set of plays: membership means some generator is a prefix.
-
-    Membership is monotone under extension and is settled by any prefix
-    at least as long as the longest generator.
-    """
-
-    generators: frozenset[Seq]
-
-    @property
-    def max_len(self) -> int:
-        return max((len(g) for g in self.generators), default=0)
-
-    def contains(self, prefix: Seq) -> bool:
-        return any(_is_prefix(g, prefix) for g in self.generators)
-
-
-@dataclass(frozen=True)
 class DiffPayoff:
     """k nested differences of open sets, evaluated innermost-out:
-    D_k = U_k and D_i = U_i minus D_{i+1}; membership means D_1."""
+    D_k = U_k and D_i = U_i minus D_{i+1}; membership means D_1.
 
-    levels: tuple[OpenSet, ...]
+    A level U_i is its set of generators: a play is in U_i when some
+    generator is a prefix of it, which any prefix at least as long as
+    the longest generator settles."""
+
+    levels: tuple[frozenset[Seq], ...]
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -81,7 +67,7 @@ class DiffPayoff:
 
     @property
     def decision_depth(self) -> int:
-        return max(level.max_len for level in self.levels)
+        return max((len(g) for level in self.levels for g in level), default=0)
 
 
 def eval_diff(diff: DiffPayoff, prefix: Seq) -> bool:
@@ -90,7 +76,7 @@ def eval_diff(diff: DiffPayoff, prefix: Seq) -> bool:
         raise PrefixTooShort(prefix, diff.decision_depth)
     member = False
     for level in reversed(diff.levels):
-        member = level.contains(prefix) and not member
+        member = not member and any(_is_prefix(g, prefix) for g in level)
     return member
 
 
@@ -221,24 +207,20 @@ def serialize_diff(diff: DiffPayoff) -> str:
     lines = [f"{DIFF_HEADER} k={len(diff.levels)}"]
     for i, level in enumerate(diff.levels, start=1):
         lines.append(f"level {i}:")
-        lines += [format_node(g) or EMPTY_GENERATOR for g in sorted(level.generators)]
+        lines += [format_node(g) or EMPTY_GENERATOR for g in sorted(level)]
     return "\n".join(lines) + "\n"
 
 
 def parse_payoff(text: str) -> ClopenAntichain | DiffPayoff:
     """Parse either payoff file format, dispatching on the header line."""
     lines = text.splitlines()
-    if not lines:
-        raise PayoffSyntaxError(1, "empty payoff file")
-    header = lines[0].strip()
-    if header == CLOPEN_HEADER:
-        return _parse_clopen(lines)
-    if header.startswith(DIFF_HEADER):
-        return _parse_diff(lines, header)
-    raise PayoffSyntaxError(1, f"unknown payoff header {header!r}")
+    if lines and lines[0].strip().startswith(DIFF_HEADER):
+        return _parse_diff(lines)
+    return _parse_clopen(lines)
 
 
 def _parse_clopen(lines: list[str]) -> ClopenAntichain:
+    read_header(lines, CLOPEN_HEADER, None, PayoffSyntaxError)
     entries: list[tuple[Seq, Player]] = []
     seen: set[Seq] = set()
     default: Player | None = None
@@ -250,34 +232,31 @@ def _parse_clopen(lines: list[str]) -> ClopenAntichain:
             raise PayoffSyntaxError(lineno, f"expected 'I:', 'II:' or 'default:': {raw!r}")
         tag, body = line.split(":", 1)
         tag = tag.strip()
+        if tag == "default" and default is not None:
+            raise PayoffSyntaxError(lineno, "duplicate default line")
+        try:
+            player = parse_player(body if tag == "default" else tag)
+        except ValueError as exc:
+            raise PayoffSyntaxError(lineno, str(exc)) from None
         if tag == "default":
-            if default is not None:
-                raise PayoffSyntaxError(lineno, "duplicate default line")
-            try:
-                default = Player(body.strip())
-            except ValueError:
-                raise PayoffSyntaxError(lineno, f"bad default {body!r}") from None
+            default = player
             continue
-        if tag not in ("I", "II"):
-            raise PayoffSyntaxError(lineno, f"unknown winner tag {tag!r}")
         prefix = parse_node(body, lineno, PayoffSyntaxError)
         if prefix in seen:
             raise PayoffSyntaxError(lineno, f"duplicate entry {prefix!r}")
         seen.add(prefix)
-        entries.append((prefix, Player(tag)))
+        entries.append((prefix, player))
     if default is None:
         raise PayoffSyntaxError(len(lines), "missing default line")
     return ClopenAntichain(tuple(entries), default)
 
 
-def _parse_diff(lines: list[str], header: str) -> DiffPayoff:
-    tail = header[len(DIFF_HEADER) :].strip()
-    if not tail.startswith("k="):
-        raise PayoffSyntaxError(1, f"expected 'k=<k>' in header, got {header!r}")
+def _parse_diff(lines: list[str]) -> DiffPayoff:
+    count = read_header(lines, DIFF_HEADER, "k", PayoffSyntaxError)
     try:
-        k = int(tail[2:])
+        k = int(count)
     except ValueError:
-        raise PayoffSyntaxError(1, f"bad level count in {header!r}") from None
+        raise PayoffSyntaxError(1, f"bad level count {count!r}") from None
     if k < 1:
         raise PayoffSyntaxError(1, "level count must be at least 1")
     levels: list[set[Seq]] = []
@@ -299,4 +278,4 @@ def _parse_diff(lines: list[str], header: str) -> DiffPayoff:
             levels[-1].add(parse_node(line, lineno, PayoffSyntaxError))
     if len(levels) != k:
         raise PayoffSyntaxError(len(lines), f"header promised k={k} levels, found {len(levels)}")
-    return DiffPayoff(tuple(OpenSet(frozenset(g)) for g in levels))
+    return DiffPayoff(tuple(map(frozenset, levels)))

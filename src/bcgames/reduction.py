@@ -32,6 +32,7 @@ from typing import Iterator, NamedTuple
 
 from .players import Player, mover_at
 from .solver import SolveResult, counterplay, retrograde, step
+from .strategy import RegularStrategy
 from .trees import FiniteTree, Seq, is_zero_free, subtree
 
 CTRL = "ctrl"
@@ -145,9 +146,6 @@ class ReductionGame:
         if who is None:
             raise NotTerminal("terminal positions have no mover")
         return who
-
-    def is_terminal(self, st: RState) -> bool:
-        return st.phase == 5
 
     def winner(self, st: RState) -> Player:
         if st.phase != 5:
@@ -263,14 +261,6 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
     return out
 
 
-@dataclass
-class ReductionPolicy:
-    """A positional strategy over abstract states for one player."""
-
-    owner: Player
-    moves: dict[RState, int]
-
-
 def solve_reduction(tree: FiniteTree) -> SolveResult:
     """Solve the reduction game built from a zero-free tree.
 
@@ -281,10 +271,10 @@ def solve_reduction(tree: FiniteTree) -> SolveResult:
     game = build_reduction_game(tree)
     values, moves = retrograde(game)
     winner = values[game.initial]
-    return SolveResult(winner, ReductionPolicy(winner, moves), values, len(values))
+    return SolveResult(winner, RegularStrategy(winner, moves), values, len(values))
 
 
-def verify_winning_policy(game: ReductionGame, policy: ReductionPolicy) -> list[int] | None:
+def verify_winning_policy(game: ReductionGame, policy: RegularStrategy) -> list[int] | None:
     """Walk every opponent line with the policy's owner following the
     policy; None when the owner wins every terminal, else a losing play."""
     return counterplay(game, policy.owner, policy.moves.get)
@@ -299,7 +289,7 @@ class BranchReport:
     fail_index: int | None
 
 
-def _query_u0(game: ReductionGame, policy: ReductionPolicy, target: Seq) -> int:
+def _query_u0(game: ReductionGame, policy: RegularStrategy, target: Seq) -> int:
     """The answer the policy gives once player I has built ``target``."""
     st = _phase2_entry(target)
     for kind in ("answer", "confirmation"):
@@ -314,7 +304,7 @@ def _query_u0(game: ReductionGame, policy: ReductionPolicy, target: Seq) -> int:
     return st.u0
 
 
-def extract_branch(tree: FiniteTree, policy: ReductionPolicy) -> BranchReport:
+def extract_branch(tree: FiniteTree, policy: RegularStrategy) -> BranchReport:
     """Read a branch out of a winning answer policy.
 
     Round n encodes t = f[:n] and records the policy's answer as f(n);
@@ -429,11 +419,11 @@ def principal_play(game: ReductionGame, result: SolveResult) -> list[int]:
     """One full optimal-versus-leftmost play, for reporting."""
     moves: list[int] = []
     st = game.initial
-    while not game.is_terminal(st):
+    while trans := game.transitions(st):
         if game.mover(st) is result.winner:
             move = result.strategy.moves[st]
         else:
-            move = game.transitions(st)[0][0]
+            move = trans[0][0]
         moves.append(move)
-        st = step(game, st, move)
+        st = dict(trans)[move]
     return moves

@@ -1,12 +1,13 @@
 """Strategies over binary choice game trees.
 
 Two formalisms live here.  A regular strategy is a function from
-positions where its owner moves to a move, with an optional default; a
-restricted strategy is a subtree of the game tree that keeps exactly
-one successor wherever its owner moves and every successor wherever the
-opponent moves.  Nodes without successors are strategy leaves for
-either player: the mover there has no in-tree option and will be the
-one forced out.
+positions where its owner moves to a move, with an optional default;
+the reduction game's policies are regular strategies over its abstract
+states.  A restricted strategy is a subtree of the game tree that keeps
+exactly one successor wherever its owner moves and every successor
+wherever the opponent moves.  Nodes without successors are strategy
+leaves for either player: the mover there has no in-tree option and
+will be the one forced out.
 
 Regular strategies over all of the naturals are quotiented to a finite
 alphabet per position: the in-tree successor labels plus the single
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .players import Player, mover_at, parse_player
-from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, format_preorder, parse_node_lines
+from .trees import FiniteTree, MissingPrefix, NodeNotInTree, Seq, format_preorder
+from .trees import parse_node_lines, read_header
 
 
 class StrategyError(Exception):
@@ -84,10 +86,10 @@ class RegularStrategy:
     """A positional strategy: explicit moves plus an optional default."""
 
     owner: Player
-    moves: Mapping[Seq, Move]
+    moves: Mapping[Hashable, Move]
     default: Move | None = None
 
-    def move_at(self, position: Seq):
+    def move_at(self, position: Hashable):
         if position in self.moves:
             return self.moves[position]
         if self.default is None:
@@ -172,13 +174,8 @@ def serialize_strategy(strategy: RestrictedStrategy) -> str:
 
 def parse_strategy(text: str) -> RestrictedStrategy:
     lines = text.splitlines()
-    if not lines or not lines[0].strip().startswith(STRATEGY_HEADER):
-        raise StrategySyntaxError(1, f"expected header {STRATEGY_HEADER!r} owner=I|II")
-    tail = lines[0].strip().removeprefix(STRATEGY_HEADER).strip()
-    if not tail.startswith("owner="):
-        raise StrategySyntaxError(1, "missing owner= in header")
     try:
-        owner = parse_player(tail.removeprefix("owner="))
+        owner = parse_player(read_header(lines, STRATEGY_HEADER, "owner", StrategySyntaxError))
     except ValueError as exc:
         raise StrategySyntaxError(1, str(exc)) from None
     return RestrictedStrategy(owner, parse_node_lines(lines, StrategySyntaxError))

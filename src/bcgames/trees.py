@@ -54,7 +54,7 @@ class TreeSyntaxError(TreeError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteTree:
     """Immutable binary choice tree with a precomputed child index."""
 
@@ -67,14 +67,6 @@ class FiniteTree:
         if max(map(len, index.values())) > 2:
             raise TooManySuccessors(min(p for p, kids in index.items() if len(kids) > 2))
         object.__setattr__(self, "_children", index)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteTree):
-            return NotImplemented
-        return self.nodes == other.nodes
-
-    def __hash__(self) -> int:
-        return hash(self.nodes)
 
     def __contains__(self, node: Seq) -> bool:
         return node in self.nodes
@@ -270,10 +262,22 @@ def parse_node_lines(lines: list[str], error: Callable[[int, str], Exception]) -
     return frozenset(nodes)
 
 
+def read_header(lines: list[str], header: str, key: str | None, error: Callable) -> str:
+    """Check a file's first line, spaces at either end aside: ``header``,
+    then ``key=`` and the value it returns, or nothing more when ``key``
+    is None.  Anything else raises ``error(1, message)``, the calling
+    codec's syntax error."""
+    line = lines[0].strip() if lines else ""
+    rest = line.removeprefix(header).strip()
+    field = f"{key}=" if key else ""
+    if line.startswith(header) and (rest.startswith(field) if key else not rest):
+        return rest[len(field) :]
+    raise error(1, f"expected header {f'{header} {field}'.strip()!r}, got {line!r}")
+
+
 def parse_tree(text: str) -> FiniteTree:
     """Parse the tree file format; the root is implicit and line order is
     irrelevant, but duplicate node lines are rejected."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != TREE_HEADER:
-        raise TreeSyntaxError(1, f"expected header {TREE_HEADER!r}")
+    read_header(lines, TREE_HEADER, None, TreeSyntaxError)
     return FiniteTree(parse_node_lines(lines, TreeSyntaxError))

@@ -437,13 +437,13 @@ def terminal_outcome(game: ReductionGame, play: Seq) -> tuple[Player, str]:
     """
     st = game.initial
     for ply, move in enumerate(play):
-        if game.is_terminal(st):
+        if not game.transitions(st):
             return mover_at(ply).other, "exit"
         nxt = step(game, st, move)
         if nxt is None:
             return game.mover(st).other, "exit"
         st = nxt
-    if not game.is_terminal(st):
+    if game.transitions(st):
         raise NotTerminal(f"play of length {len(play)} ends mid-game")
     return st.winner, st.rule
 

@@ -157,10 +157,14 @@ def _report(name: str, record: dict) -> dict:
         _report("bounds", {"tree": TREE, "claimed_at": [1, -1]}),
         _report("bounds", {"tree": TREE, "claimed_at": "1"}),
         _report("def34", {"tree": TREE, "regular": "I", "restricted": "I"}),
+        _report("reduction", {"tree": "tree v1\n0\n"}),
+        _report("bounds", {"tree": "tree v1\n0\n"}),
+        _report("bounds", {"tree": TREE, "claimed_at": [5]}),
     ],
     ids=[
         "not-json", "no-suites", "unknown-suite", "no-tree", "diff-payoff",
         "negative-claim", "claim-not-a-list", "def34-without-payoff",
+        "zero-label-reduction", "zero-label-bounds", "claim-off-tree",
     ],
 )
 def test_replay_rejects_a_malformed_report(report, monkeypatch, tmp_path, capsys):

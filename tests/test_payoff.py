@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from bcgames.payoff import (
     ClopenAntichain,
     DiffPayoff,
-    OpenSet,
     OverlappingEntries,
     PayoffSyntaxError,
     PrefixTooShort,
@@ -53,7 +52,7 @@ def test_exit_exclusivity(moves, tree):
 
 
 def test_eval_diff_examples():
-    diff = DiffPayoff((OpenSet(frozenset({(1,)})), OpenSet(frozenset({(1, 2)}))))
+    diff = DiffPayoff((frozenset({(1,)}), frozenset({(1, 2)})))
     assert eval_diff(diff, (1, 2)) is False
     assert eval_diff(diff, (1, 1)) is True
     assert eval_diff(diff, (2, 2)) is False
@@ -70,7 +69,7 @@ def test_eval_diff_examples():
     st.lists(st.integers(0, 2), min_size=0, max_size=4),
 )
 def test_eval_diff_stable_under_extension(levels, suffix):
-    diff = DiffPayoff(tuple(OpenSet(frozenset(map(tuple, gens))) for gens in levels))
+    diff = DiffPayoff(tuple(frozenset(map(tuple, gens)) for gens in levels))
     base = tuple(range(diff.decision_depth))
     verdict = eval_diff(diff, base)
     assert eval_diff(diff, base + tuple(suffix)) == verdict
@@ -165,7 +164,7 @@ def test_antichain_decide_matches_linear_scan(winners, default, data):
 
 
 def test_compile_diff_matches_eval():
-    diff = DiffPayoff((OpenSet(frozenset({(1,)})), OpenSet(frozenset({(1, 2)}))))
+    diff = DiffPayoff((frozenset({(1,)}), frozenset({(1, 2)})))
     for tree in CORPUS_5:
         compiled = compile_diff(diff, tree)
         for node in tree:
@@ -182,7 +181,7 @@ def test_payoff_codec_round_trip():
 
 
 def test_diff_codec_round_trip():
-    diff = DiffPayoff((OpenSet(frozenset({(1,), (2, 2)})), OpenSet(frozenset({(1, 2)}))))
+    diff = DiffPayoff((frozenset({(1,), (2, 2)}), frozenset({(1, 2)})))
     text = serialize_diff(diff)
     assert parse_payoff(text) == diff
 
@@ -222,14 +221,14 @@ def test_diff_codec_canonical_from_messy_text(levels, data):
     canonical = "\n".join([header, *body]) + "\n"
     messy = header + "\n" + "".join(data.draw(messy_text(head, lines)) for head, lines in blocks)
     parsed = parse_payoff(messy)
-    assert parsed == DiffPayoff(tuple(OpenSet(gens) for gens in levels))
+    assert parsed == DiffPayoff(tuple(levels))
     assert serialize_diff(parsed) == canonical
     assert parse_payoff(canonical) == parsed
 
 
 def test_diff_codec_keeps_the_empty_generator():
     # the empty generator makes every play a member
-    diff = DiffPayoff((OpenSet(frozenset({()})),))
+    diff = DiffPayoff((frozenset({()}),))
     text = serialize_diff(diff)
     assert text == "payoff diff v1 k=1\nlevel 1:\n()\n"
     assert eval_diff(diff, ()) is True

@@ -12,7 +12,6 @@ from bcgames.reduction import (
     NotTerminal,
     ReductionError,
     ReductionGame,
-    ReductionPolicy,
     ScanStats,
     StrategyNotWinning,
     ZeroLabeledTree,
@@ -28,6 +27,7 @@ from bcgames.reduction import (
     verify_winning_policy,
 )
 from bcgames.solver import counterplay, retrograde
+from bcgames.strategy import RegularStrategy
 from bcgames.trees import enumerate_trees, subtree, validate_tree
 from oracles import (
     FullReductionGame,
@@ -153,7 +153,7 @@ def test_state_rules_match_textual_rules():
         stack = [(game.initial, ())]
         while stack:
             st, pos = stack.pop()
-            if game.is_terminal(st):
+            if not game.transitions(st):
                 transcript = decode(game, pos)
                 expected = apply_rules(
                     tree, transcript.t, transcript.u0, transcript.v, transcript.u_prime
@@ -197,7 +197,7 @@ def test_concrete_exit_game_matches_abstract_solution():
         abstract = solve_reduction(tree).winner
 
         def value(st, depth):
-            if game.is_terminal(st):
+            if not game.transitions(st):
                 return game.winner(st)
             mover = mover_at(depth)
             vals = [value(nxt, depth + 1) for _, nxt in game.transitions(st)]
@@ -224,11 +224,9 @@ def test_extract_branch_rejects_losing_policy():
     # a policy that claims immediately at the root is not winning on a
     # tree whose root has a successor
     result = solve_reduction(T_PATH2)
-    bad = dict(result.strategy.moves)
-    bad.update(phase2_pins(T_PATH2, (), 0))
-    result.strategy.moves = bad
+    bad = RegularStrategy(Player.II, result.strategy.moves | phase2_pins(T_PATH2, (), 0))
     with pytest.raises(StrategyNotWinning):
-        extract_branch(T_PATH2, result.strategy)
+        extract_branch(T_PATH2, bad)
 
 
 def test_branch_prefixes_satisfy_theta():
@@ -449,17 +447,17 @@ def test_answering_a_shallower_child_loses():
         values, _ = retrograde(game)
         total = {}
         for st in values:
-            if not game.is_terminal(st) and game.mover(st) is Player.II:
+            if game.transitions(st) and game.mover(st) is Player.II:
                 trans = game.transitions(st)
                 total[st] = next((m for m, n in trans if values[n] is Player.II), trans[0][0])
-        assert verify_winning_policy(game, ReductionPolicy(Player.II, total)) is None
+        assert verify_winning_policy(game, RegularStrategy(Player.II, total)) is None
         for node in tree:
             kids = tree.children(node)
             if len(kids) < 2:
                 continue
             tallest = max(subtree(tree, kid).height for kid in kids)
             for kid in kids:
-                pinned = ReductionPolicy(Player.II, total | phase2_pins(tree, node, kid[-1]))
+                pinned = RegularStrategy(Player.II, total | phase2_pins(tree, node, kid[-1]))
                 play = verify_winning_policy(game, pinned)
                 if subtree(tree, kid).height == tallest:
                     assert play is None

@@ -3,7 +3,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from bcgames.strategy import StrategySyntaxError
+from bcgames.payoff import PayoffSyntaxError, parse_payoff
+from bcgames.strategy import StrategySyntaxError, parse_strategy
 from bcgames.trees import (
     FiniteTree,
     MissingPrefix,
@@ -147,6 +148,42 @@ def test_codec_rejects_bad_input():
         parse_tree("tree v1\n1 x\n")
     with pytest.raises(TreeSyntaxError):
         parse_tree("tree v1\n-1\n")
+
+
+# Each codec's header variants, accepted then rejected, each followed by
+# a body the codec accepts.
+_HEADER_VARIANTS = [
+    (parse_tree, TreeSyntaxError, "1\n",
+     ["tree v1", "  tree v1  "],
+     ["tree v1 x", "tree v1x", "tree v2", "tree"]),
+    (parse_strategy, StrategySyntaxError, "",
+     ["strategy v1 owner=I", " strategy v1   owner=II ", "strategy v1owner=I", "strategy v1 owner= I"],
+     ["strategy v1", "strategy v1 owner=III", "strategy v1 x owner=I"]),
+    (parse_payoff, PayoffSyntaxError, "default: I\n",
+     ["payoff clopen v1", " payoff clopen v1 "],
+     ["payoff clopen v1 x", "payoff clopen v1x"]),
+    (parse_payoff, PayoffSyntaxError, "level 1:\n1\n",
+     ["payoff diff v1 k=1", "payoff diff v1k=1", " payoff diff v1  k=1 ", "payoff diff v1 k= 1"],
+     ["payoff diff v1", "payoff diff v1 k=0", "payoff diff v1 k=1 x", "payoff diff v1 x k=1"]),
+]
+HEADER_CASES = [
+    pytest.param(parse, error, f"{header}\n{body}", header in accepted, id=f"{parse.__name__}-{header!r}")
+    for parse, error, body, accepted, rejected in _HEADER_VARIANTS
+    for header in accepted + rejected
+] + [
+    pytest.param(parse, error, "", False, id=f"{parse.__name__}-empty-file")
+    for parse, error, *_ in _HEADER_VARIANTS[:3]
+]
+
+
+@pytest.mark.parametrize("parse, error, text, accepted", HEADER_CASES)
+def test_codecs_accept_exactly_these_headers(parse, error, text, accepted):
+    if accepted:
+        parse(text)
+        return
+    with pytest.raises(error) as err:
+        parse(text)
+    assert err.value.line == 1
 
 
 # Node text the line parser meets: digit runs, signs, digit separators,
