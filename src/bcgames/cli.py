@@ -19,7 +19,6 @@ from .payoff import (
     PayoffError,
     compile_diff,
     parse_payoff,
-    serialize_diff,
     serialize_payoff,
 )
 from .reduction import (
@@ -33,6 +32,7 @@ from .reduction import (
 )
 from .solver import (
     Game,
+    SolveResult,
     SolverError,
     brute_force_oracle,
     check_def3_def4,
@@ -59,6 +59,13 @@ def _write_out(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _emit(args, payload: dict, lines: list[str]) -> int:
+    """Print a solving command's answer: its payload as one sorted-key
+    JSON line under ``--json``, its text lines otherwise."""
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+    return 0
 
 
 def _load_game(args) -> Game:
@@ -94,24 +101,21 @@ def _cmd_solve(args) -> int:
         "oracle_checked": oracle_checked,
         "def3_def4_agree": agree,
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"winner: {winner.value}")
-        print(f"explored: {result.explored} nodes")
-    return 0
+    return _emit(args, payload, [f"winner: {winner.value}", f"explored: {result.explored} nodes"])
 
 
-def _reduction_input(args) -> tuple[FiniteTree, bool]:
+def _solved_reduction(args) -> tuple[FiniteTree, bool, SolveResult]:
+    """The reduction game's input tree, whether its labels were shifted to
+    make it zero-free, and the game's solution."""
     tree = parse_tree(_read(args.tree))
-    if is_zero_free(tree):
-        return tree, False
-    return zero_free_transform(tree), True
+    transformed = not is_zero_free(tree)
+    if transformed:
+        tree = zero_free_transform(tree)
+    return tree, transformed, solve_reduction(tree)
 
 
 def _cmd_reduce(args) -> int:
-    tree, transformed = _reduction_input(args)
-    result = solve_reduction(tree)
+    tree, transformed, result = _solved_reduction(args)
     game = build_reduction_game(tree)
     play = principal_play(game, result)
     transcript = decode(game, tuple(play))
@@ -125,16 +129,11 @@ def _cmd_reduce(args) -> int:
         "u_prime": list(transcript.u_prime),
         "rule_fired": transcript.rule,
     }
-    if getattr(args, "extract", False):
+    lines = [f"winner: {payload['winner']}", f"principal play rule: {payload['rule_fired']}"]
+    if args.extract:
         payload["branch"] = _branch_payload(tree, result)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"winner: {payload['winner']}")
-        print(f"principal play rule: {payload['rule_fired']}")
-        if "branch" in payload:
-            print(f"extracted branch: {payload['branch']['f']}")
-    return 0
+        lines.append(f"extracted branch: {payload['branch']['f']}")
+    return _emit(args, payload, lines)
 
 
 def _branch_payload(tree: FiniteTree, result) -> dict:
@@ -147,18 +146,16 @@ def _branch_payload(tree: FiniteTree, result) -> dict:
 
 
 def _cmd_extract(args) -> int:
-    tree, transformed = _reduction_input(args)
-    result = solve_reduction(tree)
+    tree, transformed, result = _solved_reduction(args)
     payload = _branch_payload(tree, result)
     payload["zero_free_applied"] = transformed
     payload["winner"] = result.winner.value
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"branch: {payload['f']}")
-        print(f"fail index: {payload['fail_index']}")
-        print(f"bound holds: {payload['bound_holds']}")
-    return 0
+    lines = [
+        f"branch: {payload['f']}",
+        f"fail index: {payload['fail_index']}",
+        f"bound holds: {payload['bound_holds']}",
+    ]
+    return _emit(args, payload, lines)
 
 
 def _cmd_embed(args) -> int:
@@ -175,29 +172,19 @@ def _cmd_embed(args) -> int:
         "winners_agree": source.winner is image.winner,
         "pulled_strategy_certified": verify_winning(game, pulled) is None,
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"source winner: {payload['source_winner']}")
-        print(f"range winner:  {payload['range_winner']}")
-        print(f"pull-back certified: {payload['pulled_strategy_certified']}")
-    return 0
+    lines = [
+        f"source winner: {payload['source_winner']}",
+        f"range winner:  {payload['range_winner']}",
+        f"pull-back certified: {payload['pulled_strategy_certified']}",
+    ]
+    return _emit(args, payload, lines)
 
 
 def _cmd_fmt(args) -> int:
-    given = [opt for opt in (args.tree, args.payoff, args.strategy) if opt is not None]
-    if len(given) != 1:
-        print("fmt needs exactly one of --tree, --payoff, --strategy", file=sys.stderr)
-        return 2
     if args.tree is not None:
         text = serialize_tree(parse_tree(_read(args.tree)))
     elif args.payoff is not None:
-        payoff = parse_payoff(_read(args.payoff))
-        text = (
-            serialize_diff(payoff)
-            if isinstance(payoff, DiffPayoff)
-            else serialize_payoff(payoff)
-        )
+        text = serialize_payoff(parse_payoff(_read(args.payoff)))
     else:
         text = serialize_strategy(parse_strategy(_read(args.strategy)))
     _write_out(text, args.out)
@@ -236,49 +223,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bcgames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve_p = sub.add_parser("solve", help="solve a game on a tree")
-    solve_p.add_argument("--tree", required=True)
-    solve_p.add_argument("--payoff", default=None, help="payoff file; omitted = pure exit game")
+    def command(name: str, func, summary: str, parents=()) -> argparse.ArgumentParser:
+        sub_p = sub.add_parser(name, parents=list(parents), help=summary)
+        sub_p.set_defaults(func=func)
+        return sub_p
+
+    # The arguments the solving commands share, declared once.
+    tree_args = argparse.ArgumentParser(add_help=False)
+    tree_args.add_argument("--tree", required=True)
+    tree_args.add_argument("--json", action="store_true")
+    game_args = argparse.ArgumentParser(add_help=False, parents=[tree_args])
+    game_args.add_argument("--payoff", default=None, help="payoff file; omitted = pure exit game")
+
+    solve_p = command("solve", _cmd_solve, "solve a game on a tree", [game_args])
     solve_p.add_argument("--semantics", choices=("def3", "def4"), default="def4")
-    solve_p.add_argument("--json", action="store_true")
-    solve_p.set_defaults(func=_cmd_solve)
-
-    reduce_p = sub.add_parser("reduce", help="build and solve the reduction game")
-    reduce_p.add_argument("--tree", required=True)
+    reduce_p = command("reduce", _cmd_reduce, "build and solve the reduction game", [tree_args])
     reduce_p.add_argument("--extract", action="store_true", help="also extract the branch")
-    reduce_p.add_argument("--json", action="store_true")
-    reduce_p.set_defaults(func=_cmd_reduce)
+    command("extract", _cmd_extract, "extract a branch from the winning policy", [tree_args])
+    command("embed", _cmd_embed, "embed into the {0,1} tree and compare winners", [game_args])
 
-    extract_p = sub.add_parser("extract", help="extract a branch from the winning policy")
-    extract_p.add_argument("--tree", required=True)
-    extract_p.add_argument("--json", action="store_true")
-    extract_p.set_defaults(func=_cmd_extract)
-
-    embed_p = sub.add_parser("embed", help="embed into the {0,1} tree and compare winners")
-    embed_p.add_argument("--tree", required=True)
-    embed_p.add_argument("--payoff", default=None)
-    embed_p.add_argument("--json", action="store_true")
-    embed_p.set_defaults(func=_cmd_embed)
-
-    fmt_p = sub.add_parser("fmt", help="reprint a file in canonical form")
-    fmt_p.add_argument("--tree", default=None)
-    fmt_p.add_argument("--payoff", default=None)
-    fmt_p.add_argument("--strategy", default=None)
+    fmt_p = command("fmt", _cmd_fmt, "reprint a file in canonical form")
+    files = fmt_p.add_mutually_exclusive_group(required=True)
+    files.add_argument("--tree", default=None)
+    files.add_argument("--payoff", default=None)
+    files.add_argument("--strategy", default=None)
     fmt_p.add_argument("--out", default=None)
-    fmt_p.set_defaults(func=_cmd_fmt)
 
-    lab_p = sub.add_parser("lab", help="run verification campaigns")
+    lab_p = command("lab", _cmd_lab, "run verification campaigns")
     lab_p.add_argument("--max-size", type=int, default=6, dest="max_size")
     lab_p.add_argument("--payoffs-per-tree", type=int, default=20, dest="payoffs_per_tree")
     lab_p.add_argument("--seed", type=int, default=1)
     lab_p.add_argument("--suites", default=",".join(lab.SUITE_NAMES))
     lab_p.add_argument("--json", action="store_true")
     lab_p.add_argument("--out", default=None)
-    lab_p.set_defaults(func=_cmd_lab)
 
-    replay_p = sub.add_parser("replay", help="re-run the counterexamples of a lab --json report")
+    replay_p = command("replay", _cmd_replay, "re-run the counterexamples of a lab --json report")
     replay_p.add_argument("--report", required=True)
-    replay_p.set_defaults(func=_cmd_replay)
 
     return parser
 

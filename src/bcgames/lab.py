@@ -37,7 +37,7 @@ from .reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from .solver import Game, check_def3_def4, normal_form, solve, verify_winning
+from .solver import Game, SolverError, check_def3_def4, normal_form, solve, verify_winning
 from .trees import FiniteTree, TreeError, enumerate_trees, is_zero_free, parse_tree, serialize_tree
 
 _MASK = (1 << 64) - 1
@@ -371,8 +371,9 @@ def replay(report: dict) -> list[tuple[bool, dict]]:
     """Re-run every counterexample of a ``lab --json`` report, in report
     order, through the check that recorded it: whether each instance now
     passes, and the record its check gives now.  Every record is read
-    back into its instance first, so one whose fields cannot be read
-    raises ``ValueError`` before any check runs."""
+    back into its instance first, so one whose fields cannot be read, or
+    that its suite refuses to prepare, raises ``ValueError`` before any
+    check runs."""
     suites = report.get("suites") if isinstance(report, dict) else None
     if not isinstance(suites, list):
         raise ValueError("a lab report is a JSON object with a suites list")
@@ -387,7 +388,7 @@ def replay(report: dict) -> list[tuple[bool, dict]]:
         for index, record in enumerate(records):
             try:
                 instances.append((suite, _instance(suite, record)))
-            except ValueError as exc:
+            except (ValueError, SolverError) as exc:
                 raise ValueError(f"suite {name} counterexample {index}: {exc}") from None
     replayed = []
     for suite, instance in instances:

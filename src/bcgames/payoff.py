@@ -191,7 +191,10 @@ CLOPEN_HEADER = "payoff clopen v1"
 DIFF_HEADER = "payoff diff v1"
 
 
-def serialize_payoff(payoff: ClopenAntichain) -> str:
+def serialize_payoff(payoff: ClopenAntichain | DiffPayoff) -> str:
+    """Write either payoff form, as ``parse_payoff`` reads either."""
+    if isinstance(payoff, DiffPayoff):
+        return serialize_diff(payoff)
     lines = [CLOPEN_HEADER]
     for prefix, winner in payoff.entries:
         lines.append(f"{winner.value}: {format_node(prefix)}".rstrip())

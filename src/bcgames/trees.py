@@ -13,6 +13,7 @@ tree is therefore deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator
@@ -264,14 +265,14 @@ def parse_node_lines(lines: list[str], error: Callable[[int, str], Exception]) -
 
 def read_header(lines: list[str], header: str, key: str | None, error: Callable) -> str:
     """Check a file's first line, spaces at either end aside: ``header``,
-    then ``key=`` and the value it returns, or nothing more when ``key``
-    is None.  Anything else raises ``error(1, message)``, the calling
-    codec's syntax error."""
+    then nothing more when ``key`` is None, or else whitespace and one
+    ``key=value`` word, whose value it returns.  Anything else raises
+    ``error(1, message)``, the calling codec's syntax error."""
     line = lines[0].strip() if lines else ""
-    rest = line.removeprefix(header).strip()
     field = f"{key}=" if key else ""
-    if line.startswith(header) and (rest.startswith(field) if key else not rest):
-        return rest[len(field) :]
+    match = re.fullmatch(re.escape(header) + (rf"\s+{field}(\S*)" if key else ""), line)
+    if match:
+        return match[1] if key else ""
     raise error(1, f"expected header {f'{header} {field}'.strip()!r}, got {line!r}")
 
 

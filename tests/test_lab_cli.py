@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -137,6 +138,10 @@ def test_replay_reproduces_every_counterexample(suite, monkeypatch, tmp_path, ca
 TREE = "tree v1\n1\n"
 CLOPEN = "payoff clopen v1\ndefault: I\n"
 DEF34 = {"tree": TREE, "payoff": CLOPEN, "regular": "I", "restricted": "I"}
+# The complete {0,1} tree of depth 6, whose normal form is past PAIR_CAP.
+BINARY_6 = serialize_tree(
+    validate_tree([node for n in range(7) for node in itertools.product((0, 1), repeat=n)])
+)
 
 
 def _report(name: str, record: dict) -> dict:
@@ -160,11 +165,12 @@ def _report(name: str, record: dict) -> dict:
         _report("reduction", {"tree": "tree v1\n0\n"}),
         _report("bounds", {"tree": "tree v1\n0\n"}),
         _report("bounds", {"tree": TREE, "claimed_at": [5]}),
+        _report("oracle", {**DEF34, "tree": BINARY_6}),
     ],
     ids=[
         "not-json", "no-suites", "unknown-suite", "no-tree", "diff-payoff",
         "negative-claim", "claim-not-a-list", "def34-without-payoff",
-        "zero-label-reduction", "zero-label-bounds", "claim-off-tree",
+        "zero-label-reduction", "zero-label-bounds", "claim-off-tree", "oracle-past-pair-cap",
     ],
 )
 def test_replay_rejects_a_malformed_report(report, monkeypatch, tmp_path, capsys):
@@ -363,3 +369,59 @@ def test_cli_commands_need_no_stack_frame_per_ply(tmp_path, src_env):
         else:
             branch = payload.get("branch", payload)
             assert branch["f"] == [1] * 8 and branch["bound_holds"] is True
+
+
+# The README example tree, a clopen payoff and a difference payoff, with
+# the exact text-mode stdout of each command on them.
+TEXT_INPUTS = {
+    "t.txt": "tree v1\n1\n1 3\n2\n",
+    "c.txt": "payoff clopen v1\nII: 2\nI: 1 3\ndefault: II\n",
+    "d.txt": "payoff diff v1 k=2\nlevel 1:\n1\n2\nlevel 2:\n1 3\n",
+}
+TEXT_OUTPUTS = [
+    ("solve --tree t.txt", "winner: I\nexplored: 4 nodes\n"),
+    ("solve --tree t.txt --payoff c.txt --semantics def3", "winner: I\nexplored: 4 nodes\n"),
+    ("reduce --tree t.txt", "winner: II\nprincipal play rule: rule2\n"),
+    ("reduce --tree t.txt --extract", "winner: II\nprincipal play rule: rule2\nextracted branch: [1, 3]\n"),
+    ("extract --tree t.txt", "branch: [1, 3]\nfail index: 2\nbound holds: True\n"),
+    ("embed --tree t.txt --payoff d.txt", "source winner: I\nrange winner:  I\npull-back certified: True\n"),
+    ("fmt --payoff c.txt", "payoff clopen v1\nI: 1 3\nII: 2\ndefault: II\n"),
+    ("fmt --payoff d.txt", TEXT_INPUTS["d.txt"]),
+]
+
+
+@pytest.mark.parametrize("command, expected", TEXT_OUTPUTS, ids=[c for c, _ in TEXT_OUTPUTS])
+def test_cli_text_output_is_pinned(command, expected, tmp_path, monkeypatch, capsys):
+    for name, text in TEXT_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("solve", ["--tree", "--payoff", "--semantics", "--json"]),
+        ("embed", ["--tree", "--payoff", "--json"]),
+        ("reduce", ["--tree", "--extract", "--json"]),
+        ("fmt", ["--tree", "--payoff", "--strategy", "--out"]),
+    ],
+)
+def test_cli_help_names_every_option(command, options, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in options), out
+
+
+@pytest.mark.parametrize("files", [[], ["--tree", "t.txt", "--payoff", "c.txt"]], ids=["none", "two"])
+def test_cli_fmt_needs_exactly_one_file(files, tmp_path, src_env):
+    for name, text in TEXT_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcgames.cli", "fmt", *files],
+        capture_output=True, text=True, env=src_env, cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")

@@ -155,16 +155,18 @@ def test_codec_rejects_bad_input():
 _HEADER_VARIANTS = [
     (parse_tree, TreeSyntaxError, "1\n",
      ["tree v1", "  tree v1  "],
-     ["tree v1 x", "tree v1x", "tree v2", "tree"]),
+     ["tree v1 x", "tree v1x", "tree  v1", "tree v2", "tree"]),
     (parse_strategy, StrategySyntaxError, "",
-     ["strategy v1 owner=I", " strategy v1   owner=II ", "strategy v1owner=I", "strategy v1 owner= I"],
-     ["strategy v1", "strategy v1 owner=III", "strategy v1 x owner=I"]),
+     ["strategy v1 owner=I", " strategy v1   owner=II "],
+     ["strategy v1", "strategy v1 owner=III", "strategy v1 x owner=I", "strategy v1owner=I",
+      "strategy v1 owner= I"]),
     (parse_payoff, PayoffSyntaxError, "default: I\n",
      ["payoff clopen v1", " payoff clopen v1 "],
      ["payoff clopen v1 x", "payoff clopen v1x"]),
     (parse_payoff, PayoffSyntaxError, "level 1:\n1\n",
-     ["payoff diff v1 k=1", "payoff diff v1k=1", " payoff diff v1  k=1 ", "payoff diff v1 k= 1"],
-     ["payoff diff v1", "payoff diff v1 k=0", "payoff diff v1 k=1 x", "payoff diff v1 x k=1"]),
+     ["payoff diff v1 k=1", " payoff diff v1  k=1 "],
+     ["payoff diff v1", "payoff diff v1 k=0", "payoff diff v1 k=1 x", "payoff diff v1 x k=1",
+      "payoff diff v1k=1", "payoff diff v1 k= 1"]),
 ]
 HEADER_CASES = [
     pytest.param(parse, error, f"{header}\n{body}", header in accepted, id=f"{parse.__name__}-{header!r}")
