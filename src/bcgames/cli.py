@@ -8,6 +8,7 @@ fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -32,10 +33,11 @@ from .reduction import (
 )
 from .solver import (
     Game,
+    Infeasible,
     SolveResult,
     SolverError,
     brute_force_oracle,
-    check_def3_def4,
+    def3_winner,
     exit_game,
     solve,
     verify_winning,
@@ -82,18 +84,13 @@ def _load_game(args) -> Game:
 def _cmd_solve(args) -> int:
     game = _load_game(args)
     result = solve(game)
-    agree = None
-    if args.semantics == "def3":
-        report = check_def3_def4(game)
-        agree = report.agree
-        winner = report.regular_winner
-        oracle_checked = report.restricted_winner is result.winner
-    else:
-        winner = result.winner
-        try:
-            oracle_checked = brute_force_oracle(game) is result.winner
-        except SolverError:
-            oracle_checked = False
+    winner, oracle_checked, agree = result.winner, False, None
+    # Both readings have the induction's winner; the brute forces check it up to PAIR_CAP.
+    with contextlib.suppress(Infeasible):
+        restricted = brute_force_oracle(game)
+        oracle_checked = restricted is winner
+        if args.semantics == "def3":
+            agree = def3_winner(game) is restricted
     payload = {
         "winner": winner.value,
         "strategy_nodes": [list(n) for n in sorted(result.strategy.nodes)],

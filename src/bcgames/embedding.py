@@ -56,7 +56,7 @@ def push_payoff(rho: RhoMap, payoff: ClopenAntichain) -> ClopenAntichain:
 
 
 def push_game(rho: RhoMap, game: Game) -> Game:
-    if game.tree is not rho.source and game.tree != rho.source:
+    if game.tree != rho.source:
         raise EmbeddingError("game tree does not match the embedding's source")
     return Game(rho.range_tree, push_payoff(rho, game.payoff), game.decision_depth)
 

@@ -37,7 +37,8 @@ from .reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from .solver import Game, SolverError, check_def3_def4, normal_form, solve, verify_winning
+from .solver import Game, SolverError, check_def3_def4, normal_form, quotient_capped, solve
+from .solver import verify_winning
 from .trees import FiniteTree, TreeError, enumerate_trees, is_zero_free, parse_tree, serialize_tree
 
 _MASK = (1 << 64) - 1
@@ -252,7 +253,12 @@ SUITES = {
         ("tree", "payoff"),
         prepare=lambda fields: (*fields, normal_form(fields[0])),
     ),
-    "def34": Suite(_def34_stream, _check_def34, ("tree", "payoff")),
+    "def34": Suite(
+        _def34_stream,
+        _check_def34,
+        ("tree", "payoff"),
+        prepare=lambda fields: (quotient_capped(fields[0]), *fields[1:]),
+    ),
     "reduction": Suite(_reduction_stream, _check_reduction, ("tree",), prepare=_reducible),
     "bounds": Suite(
         _bounds_stream, _check_bounds, ("tree", "claimed_at"), ("claimed_at",), _reducible

@@ -15,7 +15,6 @@ never leave the tree are judged by the payoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .players import Player, mover_at, parse_player
@@ -56,18 +55,16 @@ class DiffPayoff:
     D_k = U_k and D_i = U_i minus D_{i+1}; membership means D_1.
 
     A level U_i is its set of generators: a play is in U_i when some
-    generator is a prefix of it, which any prefix at least as long as
-    the longest generator settles."""
+    generator is a prefix of it, which any prefix ``decision_depth``
+    long, the longest generator's length, settles."""
 
     levels: tuple[frozenset[Seq], ...]
 
     def __post_init__(self) -> None:
         if not self.levels:
             raise PayoffError("a difference payoff needs at least one level")
-
-    @property
-    def decision_depth(self) -> int:
-        return max((len(g) for level in self.levels for g in level), default=0)
+        depth = max((len(g) for level in self.levels for g in level), default=0)
+        object.__setattr__(self, "decision_depth", depth)
 
 
 def eval_diff(diff: DiffPayoff, prefix: Seq) -> bool:
@@ -85,8 +82,8 @@ class ClopenAntichain:
     """A clopen payoff: prefix entries naming a winner, plus a default.
 
     Entry prefixes must form an antichain, so any play matches at most
-    one entry; a play longer than every entry that matches none is won
-    by the default player.
+    one entry; a play that matches none is won by the default player
+    once it is ``decision_depth`` long, the longest entry's length.
     """
 
     entries: tuple[tuple[Seq, Player], ...]
@@ -101,20 +98,11 @@ class ClopenAntichain:
         for (p, _), (q, _) in zip(ordered, ordered[1:]):
             if _is_prefix(p, q):
                 raise OverlappingEntries(p, q)
-
-    @cached_property
-    def decision_depth(self) -> int:
-        return max((len(p) for p, _ in self.entries), default=0)
-
-    @cached_property
-    def _by_prefix(self) -> dict[Seq, Player]:
-        return dict(self.entries)
-
-    @cached_property
-    def _lengths(self) -> tuple[int, ...]:
-        """The distinct entry lengths, ascending: the only prefix lengths
-        at which an entry can match."""
-        return tuple(sorted({len(p) for p, _ in self.entries}))
+        # An entry can match a prefix only at one of the entry lengths.
+        lengths = tuple(sorted({len(p) for p, _ in ordered}))
+        object.__setattr__(self, "decision_depth", lengths[-1] if lengths else 0)
+        object.__setattr__(self, "_by_prefix", dict(ordered))
+        object.__setattr__(self, "_lengths", lengths)
 
     def decide(self, prefix: Seq) -> Player | None:
         """Winner fixed by ``prefix``, or None when still open."""

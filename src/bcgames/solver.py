@@ -5,8 +5,8 @@ play is settled the moment it leaves the tree (the offender loses) or
 reaches the decision depth while still inside it (the payoff decides).
 A player whose turn comes at a node with no in-tree successor is forced
 out and loses.  Under those rules backward induction yields the winner,
-a certified restricted strategy for the winner, and the value of every
-explored node.
+a certified restricted strategy for the winner, and the number of
+nodes explored.
 
 The induction and the certificate walk run on a game graph, so the
 reduction game, another finite game with at most two moves per turn,
@@ -24,7 +24,7 @@ certificate walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .payoff import ClopenAntichain, outcome_psi
 from .players import Player, mover_at
@@ -66,6 +66,7 @@ class Game:
     tree: FiniteTree
     payoff: ClopenAntichain
     decision_depth: int
+    initial = ()
 
     def __post_init__(self) -> None:
         if self.decision_depth < 0:
@@ -77,10 +78,6 @@ class Game:
                 f"decision depth {self.decision_depth} is shallower than the payoff's "
                 f"{self.payoff.decision_depth}"
             )
-
-    @property
-    def initial(self) -> Seq:
-        return ()
 
     def mover(self, node: Seq) -> Player:
         return mover_at(len(node))
@@ -109,7 +106,6 @@ def exit_game(tree: FiniteTree) -> Game:
 class SolveResult:
     winner: Player
     strategy: Any
-    values: Mapping[Any, Player]
     explored: int
 
 
@@ -242,7 +238,7 @@ def solve(game: Game) -> SolveResult:
             move = policy.get(node, kids[0][-1])
             kids = [child for child in kids if child[-1] == move]
         stack.extend(kids)
-    return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), values, len(values))
+    return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), len(values))
 
 
 def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:
@@ -281,7 +277,7 @@ class NormalForm:
         """Winner by literal evaluation over all restricted strategy pairs:
         some row of the table is all I's, or some column all II's.  Each
         distinct leaf is scored once, by ``game.winner``."""
-        if game.tree is not self.tree and game.tree != self.tree:
+        if game.tree != self.tree:
             raise SolverError("the game is played on another tree than the normal form's")
         won_by_one = {end for end in self.ends if game.winner(end) is Player.I}
         won_by_two = self.ends - won_by_one
@@ -392,14 +388,19 @@ class WrappedGame:
         return counterplay(self, strategy.owner, choose) is None
 
 
+def quotient_capped(tree: FiniteTree) -> FiniteTree:
+    """``tree``, refused past ``PAIR_CAP`` pairs of the strategies ``def3_winner`` tries."""
+    pairs = quotient_count(tree, Player.I) * quotient_count(tree, Player.II)
+    if pairs > PAIR_CAP:
+        raise Infeasible(f"{pairs} quotient pairs exceed the cap of {PAIR_CAP}")
+    return tree
+
+
 def def3_winner(game: Game) -> Player:
     """Winner under the wrapped-outcome semantics, by brute force over
     quotiented regular strategies.  Both players' searches are run and
     must disagree on exactly one winner."""
-    tree = game.tree
-    pairs = quotient_count(tree, Player.I) * quotient_count(tree, Player.II)
-    if pairs > PAIR_CAP:
-        raise Infeasible(f"{pairs} quotient pairs exceed the cap of {PAIR_CAP}")
+    tree = quotient_capped(game.tree)
     view = WrappedGame(game)
     one_wins = any(map(view.certifies, enumerate_regular_quotient(tree, Player.I)))
     two_wins = any(map(view.certifies, enumerate_regular_quotient(tree, Player.II)))

@@ -19,6 +19,7 @@ at positions with no in-tree successor.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -56,19 +57,14 @@ class StrategySyntaxError(StrategyError):
         super().__init__(f"line {line}: {message}")
 
 
-class _ExitMove:
-    _instance = None
-
-    def __new__(cls) -> "_ExitMove":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class _ExitMove(enum.Enum):
+    EXIT = "EXIT"
 
     def __repr__(self) -> str:
         return "EXIT"
 
 
-EXIT = _ExitMove()
+EXIT = _ExitMove.EXIT
 
 Move = int | _ExitMove
 

@@ -1,8 +1,11 @@
-from bcgames.embedding import build_rho, pull_back_strategy, push_game, push_payoff
+import pytest
+
+from bcgames.embedding import EmbeddingError, build_rho, pull_back_strategy, push_game, push_payoff
 from bcgames.lab import game_for, random_payoffs
 from bcgames.payoff import ClopenAntichain
 from bcgames.players import Player
-from bcgames.solver import Game, solve, verify_winning
+from bcgames.solver import Game, exit_game, solve, verify_winning
+from bcgames.strategy import RestrictedStrategy
 from bcgames.trees import enumerate_trees, validate_tree
 
 T = validate_tree([(), (1,), (2,), (1, 3)])
@@ -51,8 +54,6 @@ def test_push_payoff_examples():
 
 def test_pull_back_examples():
     rho = build_rho(T)
-    from bcgames.strategy import RestrictedStrategy
-
     s = RestrictedStrategy(Player.I, frozenset({(), (1,)}))
     assert pull_back_strategy(rho, s).nodes == frozenset({(), (2,)})
 
@@ -60,6 +61,14 @@ def test_pull_back_examples():
     binary = validate_tree([(), (0,), (1,)])
     rho_id = build_rho(binary)
     assert all(rho_id(n) == n for n in binary)
+
+
+def test_embedding_refuses_a_foreign_game_or_strategy():
+    rho = build_rho(T)
+    with pytest.raises(EmbeddingError, match="source"):
+        push_game(rho, exit_game(validate_tree([(), (1,)])))
+    with pytest.raises(EmbeddingError, match="outside the range tree"):
+        pull_back_strategy(rho, RestrictedStrategy(Player.I, frozenset({(), (5,)})))
 
 
 def test_winner_preserved_and_pullback_certified():

@@ -7,6 +7,7 @@ import pytest
 
 from bcgames import cli, lab
 from bcgames.lab import CampaignConfig, SplitMix64, random_payoffs, run_campaign
+from bcgames.solver import SolverError
 from bcgames.trees import serialize_tree, validate_tree
 from faults import FAULTS, patch_faults
 
@@ -138,10 +139,17 @@ def test_replay_reproduces_every_counterexample(suite, monkeypatch, tmp_path, ca
 TREE = "tree v1\n1\n"
 CLOPEN = "payoff clopen v1\ndefault: I\n"
 DEF34 = {"tree": TREE, "payoff": CLOPEN, "regular": "I", "restricted": "I"}
-# The complete {0,1} tree of depth 6, whose normal form is past PAIR_CAP.
-BINARY_6 = serialize_tree(
-    validate_tree([node for n in range(7) for node in itertools.product((0, 1), repeat=n)])
-)
+
+
+def _binary(depth: int) -> str:
+    """The complete {0,1} tree of the given depth, in the tree format."""
+    nodes = [node for n in range(depth + 1) for node in itertools.product((0, 1), repeat=n)]
+    return serialize_tree(validate_tree(nodes))
+
+
+# The def3 brute force refuses both; the restricted one refuses only the
+# second, whose normal form is past PAIR_CAP.
+BINARY_5, BINARY_6 = _binary(5), _binary(6)
 
 
 def _report(name: str, record: dict) -> dict:
@@ -166,11 +174,16 @@ def _report(name: str, record: dict) -> dict:
         _report("bounds", {"tree": "tree v1\n0\n"}),
         _report("bounds", {"tree": TREE, "claimed_at": [5]}),
         _report("oracle", {**DEF34, "tree": BINARY_6}),
+        _report("def34", {**DEF34, "tree": BINARY_5}),
+        _report("oracle", ["tree", TREE]),
+        {"suites": [{"name": "def34", "counterexamples": [DEF34]},
+                    {"name": "oracle", "counterexamples": DEF34}]},
     ],
     ids=[
         "not-json", "no-suites", "unknown-suite", "no-tree", "diff-payoff",
         "negative-claim", "claim-not-a-list", "def34-without-payoff",
         "zero-label-reduction", "zero-label-bounds", "claim-off-tree", "oracle-past-pair-cap",
+        "def34-past-quotient-cap", "record-not-an-object", "counterexamples-not-a-list",
     ],
 )
 def test_replay_rejects_a_malformed_report(report, monkeypatch, tmp_path, capsys):
@@ -209,6 +222,41 @@ def test_cli_solve_def3(tree_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["def3_def4_agree"] is True
     assert payload["oracle_checked"] is True
+
+
+def _solve_payload(path, semantics: str, capsys) -> dict:
+    assert cli.main(["solve", "--tree", str(path), "--semantics", semantics, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_solve_def3_takes_the_winner_past_the_cap(tmp_path, capsys):
+    # Past PAIR_CAP neither brute force runs, and def3 answers as def4 does.
+    path = tmp_path / "t6.txt"
+    path.write_text(BINARY_6, encoding="utf-8")
+    payload = _solve_payload(path, "def3", capsys)
+    assert payload["winner"] == "II"
+    assert payload["oracle_checked"] is False and payload["def3_def4_agree"] is None
+    assert payload == _solve_payload(path, "def4", capsys)
+
+
+def test_cli_solve_def3_checks_what_fits_under_the_cap(tmp_path, capsys):
+    # The restricted brute force fits under PAIR_CAP; the def3 one does not.
+    path = tmp_path / "t5.txt"
+    path.write_text(BINARY_5, encoding="utf-8")
+    payload = _solve_payload(path, "def3", capsys)
+    assert payload["oracle_checked"] is True and payload["def3_def4_agree"] is None
+
+
+@pytest.mark.parametrize("semantics", ["def3", "def4"])
+def test_cli_solve_reports_a_failed_brute_force(semantics, tree_file, monkeypatch, capsys):
+    def inconsistent(game):
+        raise SolverError("neither player has a winning restricted strategy")
+
+    monkeypatch.setattr(cli, "brute_force_oracle", inconsistent)
+    assert cli.main(["solve", "--tree", tree_file, "--semantics", semantics, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: neither player has a winning restricted strategy\n"
 
 
 def test_cli_solve_with_payoff(tree_file, tmp_path, capsys):

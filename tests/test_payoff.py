@@ -5,6 +5,7 @@ from bcgames.payoff import (
     ClopenAntichain,
     DiffPayoff,
     OverlappingEntries,
+    PayoffError,
     PayoffSyntaxError,
     PrefixTooShort,
     UndecidedTranscript,
@@ -245,3 +246,15 @@ def test_payoff_codec_errors():
         parse_payoff("payoff diff v1 k=2\nlevel 1:\n1 2\n")  # level count mismatch
     with pytest.raises(PayoffSyntaxError):
         parse_payoff("")
+    for text, message in [
+        ("payoff clopen v1\nI 1\ndefault: I\n", "line 2: expected 'I:'"),
+        ("payoff clopen v1\ndefault: I\ndefault: II\n", "line 3: duplicate default"),
+        ("payoff clopen v1\nI: 1\nII: 1\ndefault: I\n", r"line 3: duplicate entry \(1,\)"),
+        ("payoff diff v1 k=one\nlevel 1:\n", "line 1: bad level count"),
+        ("payoff diff v1 k=1\nlevel 2:\n", "line 2: expected 'level 1:'"),
+        ("payoff diff v1 k=1\n1\nlevel 1:\n", "line 2: generator line before"),
+    ]:
+        with pytest.raises(PayoffSyntaxError, match=message):
+            parse_payoff(text)
+    with pytest.raises(PayoffError, match="at least one level"):
+        DiffPayoff(())

@@ -146,6 +146,15 @@ def test_terminal_winner_on_offender():
         terminal_winner(game, (0, 0))
 
 
+def test_mover_and_winner_refuse_the_other_kind_of_state():
+    game = build_reduction_game(T_FORK)
+    terminal = next(st for st in retrograde(game)[0] if st.phase == 5)
+    with pytest.raises(NotTerminal):
+        game.mover(terminal)
+    with pytest.raises(NotTerminal):
+        game.winner(game.initial)
+
+
 def test_state_rules_match_textual_rules():
     # every terminal of every small game agrees with the rule chain
     for tree in ZERO_FREE_5:
@@ -227,6 +236,25 @@ def test_extract_branch_rejects_losing_policy():
     bad = RegularStrategy(Player.II, result.strategy.moves | phase2_pins(T_PATH2, (), 0))
     with pytest.raises(StrategyNotWinning):
         extract_branch(T_PATH2, bad)
+    # a policy that answers off the tree, or not at all
+    moves = result.strategy.moves
+    entry = reduction._phase2_entry(())
+    off_tree = RegularStrategy(Player.II, {**moves, entry: 5})
+    with pytest.raises(StrategyNotWinning, match=r"illegal answer 5 after t=\(\)"):
+        extract_branch(T_PATH2, off_tree)
+    silent = RegularStrategy(Player.II, {st: m for st, m in moves.items() if st != entry})
+    with pytest.raises(StrategyNotWinning, match=r"no answer recorded after t=\(\)"):
+        extract_branch(T_PATH2, silent)
+
+
+def test_certificate_walk_reports_an_owner_state_without_a_legal_move():
+    # the README example tree; the policy loses its answer at t = (),
+    # which player I reaches by ending phase 1 at once
+    tree = validate_tree([(), (1,), (1, 3), (2,)])
+    moves = dict(solve_reduction(tree).strategy.moves)
+    del moves[reduction._phase2_entry(())]
+    policy = RegularStrategy(Player.II, moves)
+    assert verify_winning_policy(build_reduction_game(tree), policy) == [1]
 
 
 def test_branch_prefixes_satisfy_theta():
@@ -269,6 +297,8 @@ def test_cardinality_bound_examples():
     assert report == BranchReport((1, 1), 2)  # the check reads the report only
     assert check_cardinality_bound(T_PATH2, BranchReport((1,), 1)) is False
     assert check_cardinality_bound(T_ROOT, BranchReport((), 0))
+    with pytest.raises(ReductionError, match="no fail index"):
+        check_cardinality_bound(T_PATH2, BranchReport((1, 1), None))
 
 
 def test_cardinality_bound_all_winning_policies_small():

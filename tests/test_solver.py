@@ -20,6 +20,7 @@ from bcgames.solver import (
     def3_winner,
     exit_game,
     normal_form,
+    retrograde,
     solve,
     verify_winning,
 )
@@ -68,8 +69,9 @@ def test_solve_payoff_example():
 def test_solve_result_contract():
     g = exit_game(validate_tree([(), (1,), (2,), (1, 3)]))
     result = solve(g)
-    assert result.values[()] is result.winner
-    assert result.explored == len(result.values)
+    values, _ = retrograde(g)
+    assert values[()] is result.winner
+    assert result.explored == len(values)
     validate_restricted(g.tree, result.strategy.nodes, result.winner)
     assert verify_winning(g, result.strategy) is None
 
@@ -204,7 +206,9 @@ def test_determinacy_and_values_monotone():
     for game in small_games(max_size=5, payoffs=3, seed=23):
         result = solve(game)
         assert result.winner in (Player.I, Player.II)
-        for node, value in result.values.items():
+        values, _ = retrograde(game)
+        assert values[()] is result.winner
+        for node, value in values.items():
             if len(node) == game.decision_depth:
                 continue
             kids = game.tree.children(node)
@@ -212,7 +216,7 @@ def test_determinacy_and_values_monotone():
             if not kids:
                 assert value is mover.other
             else:
-                child_values = [result.values[c] for c in kids]
+                child_values = [values[c] for c in kids]
                 expected = mover if mover in child_values else mover.other
                 assert value is expected
 
