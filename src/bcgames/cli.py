@@ -88,7 +88,9 @@ def _cmd_solve(args) -> int:
     # Both readings have the induction's winner; the brute forces check it up to PAIR_CAP.
     with contextlib.suppress(Infeasible):
         restricted = brute_force_oracle(game)
-        oracle_checked = restricted is winner
+        if restricted is not winner:
+            raise SolverError(f"solve names {winner.value} but the brute force {restricted.value}")
+        oracle_checked = True
         if args.semantics == "def3":
             agree = def3_winner(game) is restricted
     payload = {

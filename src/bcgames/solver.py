@@ -4,14 +4,14 @@ A game couples a tree with a clopen payoff and a decision depth.  A
 play is settled the moment it leaves the tree (the offender loses) or
 reaches the decision depth while still inside it (the payoff decides).
 A player whose turn comes at a node with no in-tree successor is forced
-out and loses.  Under those rules backward induction yields the winner,
-a certified restricted strategy for the winner, and the number of
-nodes explored.
+out and loses.  Under those rules backward induction yields the winner
+and a certified restricted strategy for the winner, stopping at a
+node's first successor won by its mover, and counts the reachable nodes.
 
-The induction and the certificate walk run on a game graph, so the
-reduction game, another finite game with at most two moves per turn,
-shares them.  Both keep an explicit stack: no Python frame is spent per
-ply, however tall the tree or long the play.
+The searches run on a game graph, so the reduction game, another finite
+game with at most two moves per turn, shares the full induction and the
+certificate walk.  All keep an explicit stack: no Python frame is spent
+per ply, however tall the tree or long the play.
 
 Two independent brute-force routes cross-check the induction: one
 builds the normal form, the endpoint of every restricted strategy pair,
@@ -216,18 +216,32 @@ def counterplay(game, owner: Player, choose: Callable) -> list | None:
 
 
 def solve(game: Game) -> SolveResult:
-    """Backward induction from the root.
-
-    Nodes at the decision depth take the payoff's verdict; a mover with
-    no in-tree successor loses; elsewhere the mover wins iff some
-    successor wins for the mover.  Ties break to the leftmost successor
-    when the winner's strategy is read off.
-    """
-    values, policy = retrograde(game)
-    winner = values[()]
-    tree = game.tree
-    nodes: set[Seq] = set()
-    stack: list[Seq] = [()]
+    """Backward induction from the root that stops at a node's first
+    successor won by its mover, which the winner's strategy then takes.
+    Nodes at the decision depth take the payoff's verdict.  ``explored``
+    counts the game's reachable states, the tree nodes down to the
+    decision depth, whether or not the search solved them."""
+    first_win: dict = {}
+    stack: list = []
+    state, value = game.initial, None
+    while True:
+        if value is None:  # ``state`` is new: expand it or score it
+            if trans := game.transitions(state):
+                stack.append((state, game.mover(state), iter(trans)))
+            else:
+                value = game.winner(state)
+        if not stack:
+            break
+        node, who, rest = stack[-1]
+        if value is who:
+            first_win[node] = state
+        elif edge := next(rest, None):
+            state, value = edge[1], None
+            continue
+        else:
+            value = who.other
+        state = stack.pop()[0]
+    winner, tree, nodes, stack = value, game.tree, set(), [()]
     while stack:
         node = stack.pop()
         nodes.add(node)
@@ -235,10 +249,10 @@ def solve(game: Game) -> SolveResult:
         if kids and mover_at(len(node)) is winner:
             # Below the decision depth the choice no longer matters, so the
             # leftmost successor keeps the subtree valid.
-            move = policy.get(node, kids[0][-1])
-            kids = [child for child in kids if child[-1] == move]
+            kids = [first_win.get(node, kids[0])]
         stack.extend(kids)
-    return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), len(values))
+    explored = sum(1 for node in tree.nodes if len(node) <= game.decision_depth)
+    return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), explored)
 
 
 def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:

@@ -11,9 +11,10 @@ by re-solving a pinned game, both players' restricted strategies
 enumerated as node sets, the restricted product as the deepest shared
 node and again by walking a child index, each player's restricted
 strategies counted over the whole tree, the restricted oracle as a loop
-over every strategy pair, restricted strategies checked in sorted order,
-the alternating play of two regular strategies, a restricted strategy in
-positional form, the def3 certificate as a recursive walk, the reduction
+over every strategy pair, ``solve`` as the full backward induction,
+restricted strategies checked in sorted order, the alternating play
+of two regular strategies, a restricted strategy in positional form,
+the def3 certificate as a recursive walk, the reduction
 game with both phase-4 lengths kept (``FullReductionGame``) and the map
 from its states to the quotiented ones, the position scan as a walk of
 every position, and the paper's height argument as the leftmost deepest
@@ -52,7 +53,7 @@ from bcgames.reduction import (
     _phase3_entry,
     build_reduction_game,
 )
-from bcgames.solver import Game, SolverError, UndecidedGame, retrograde, step
+from bcgames.solver import Game, SolveResult, SolverError, UndecidedGame, retrograde, step
 from bcgames.strategy import (
     EXIT,
     MissingOpponentOption,
@@ -292,6 +293,26 @@ def oracle_by_pairs(game: Game) -> Player:
     if any(all(outcome(s, t) is Player.II for s in sigmas) for t in taus):
         return Player.II
     raise SolverError("neither player has a winning restricted strategy")
+
+
+def solve_by_retrograde(game: Game) -> SolveResult:
+    """``solve`` by the full backward induction: every reachable node is
+    solved, and the winner's strategy is read off ``retrograde``'s
+    policy, the leftmost move to a won successor."""
+    values, policy = retrograde(game)
+    winner = values[()]
+    tree = game.tree
+    nodes: set[Seq] = set()
+    stack: list[Seq] = [()]
+    while stack:
+        node = stack.pop()
+        nodes.add(node)
+        kids = tree.children(node)
+        if kids and mover_at(len(node)) is winner:
+            move = policy.get(node, kids[0][-1])
+            kids = [child for child in kids if child[-1] == move]
+        stack.extend(kids)
+    return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), len(values))
 
 
 def product_by_walk(sigma: RestrictedStrategy, tau: RestrictedStrategy) -> Seq:

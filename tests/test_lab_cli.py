@@ -7,6 +7,7 @@ import pytest
 
 from bcgames import cli, lab
 from bcgames.lab import CampaignConfig, SplitMix64, random_payoffs, run_campaign
+from bcgames.players import Player
 from bcgames.solver import SolverError
 from bcgames.trees import serialize_tree, validate_tree
 from faults import FAULTS, patch_faults
@@ -257,6 +258,16 @@ def test_cli_solve_reports_a_failed_brute_force(semantics, tree_file, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: neither player has a winning restricted strategy\n"
+
+
+@pytest.mark.parametrize("semantics", ["def3", "def4"])
+def test_cli_solve_refuses_a_brute_force_disagreement(semantics, tree_file, monkeypatch, capsys):
+    # I wins the exit game on T_FORK by moving to the leaf (1,).
+    monkeypatch.setattr(cli, "brute_force_oracle", lambda game: Player.II)
+    assert cli.main(["solve", "--tree", tree_file, "--semantics", semantics, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solve names I but the brute force II\n"
 
 
 def test_cli_solve_with_payoff(tree_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from bcgames.embedding import build_rho, pull_back_strategy, push_game
-from bcgames.lab import game_for, random_payoffs
+from bcgames.lab import SplitMix64, game_for, random_payoffs
 from bcgames.payoff import ClopenAntichain
 from bcgames.players import Player, mover_at
 from bcgames.solver import (
@@ -37,7 +37,9 @@ from oracles import (
     horizon,
     oracle_by_pairs,
     product_regular,
+    relabel,
     restricted_to_regular,
+    solve_by_retrograde,
     sparse_trees,
     wins_by_recursion,
 )
@@ -296,3 +298,59 @@ def test_tall_path_solves_certifies_and_embeds():
     pulled = pull_back_strategy(rho, image.strategy)
     assert pulled.nodes == result.strategy.nodes
     assert verify_winning(game, pulled) is None
+
+
+def _games_with_payoffs(tree, count, seed, depth=4):
+    return [exit_game(tree)] + [game_for(tree, p) for p in random_payoffs(tree, count, seed, depth)]
+
+
+def test_cutoff_solve_equals_the_full_walk():
+    # The campaign's oracle corpus: every tree of at most nine nodes, 20
+    # payoffs each, drawn as the oracle suite draws them at seed 1.
+    games = [
+        game_for(tree, payoff)
+        for index, tree in enumerate(enumerate_trees(9))
+        for payoff in random_payoffs(tree, 20, 1 + index, depth=4)
+    ]
+    assert len(games) == 10_780
+    # Tall shapes: the 2,000-tall path and a comb, a spine with a leaf at
+    # every level, on either side of the spine.
+    path = validate_tree([(1,) * i for i in range(2001)])
+    spine = [(1,) * i for i in range(301)]
+    for leaf in (0, 2):
+        comb = validate_tree(spine + [node + (leaf,) for node in spine[:-1]])
+        games += _games_with_payoffs(comb, 3, 17 + leaf, depth=12)
+    games += _games_with_payoffs(path, 3, 13, depth=12)
+    # Complete trees under sparse labels, then the same labels made large.
+    rng = SplitMix64(29)
+    for depth in range(1, 9):
+        sparse = relabel(validate_tree(complete_tree(depth)), rng)
+        large = validate_tree([tuple(10**20 + label for label in node) for node in sparse.nodes])
+        for tree in (sparse, large):
+            games += _games_with_payoffs(tree, 4, 31 + depth, depth=depth + 1)
+    for game in games:
+        assert solve(game) == solve_by_retrograde(game)
+
+
+def test_cutoff_solve_skips_what_a_won_move_decides(monkeypatch):
+    expanded = []
+    transitions = Game.transitions
+
+    def counting(game, node):
+        expanded.append(node)
+        return transitions(game, node)
+
+    monkeypatch.setattr(Game, "transitions", counting)
+    # I wins at the root by moving to (1,), where II is forced out; nothing
+    # under (2,) can change that.
+    tree = validate_tree([(), (1,), (2,), (2, 1), (2, 2), (2, 1, 1)])
+    result = solve(exit_game(tree))
+    assert result.winner is Player.I
+    assert expanded == [(), (1,)]
+    assert result.explored == len(tree)
+    expanded.clear()
+    game = exit_game(validate_tree(complete_tree(10)))
+    result = solve(game)
+    assert result.explored == 2**11 - 1
+    assert len(set(expanded)) == len(expanded) < result.explored
+    assert verify_winning(game, result.strategy) is None
