@@ -2,9 +2,10 @@
 
 Regular strategies answer every position and are scored by the wrapped
 outcome (exit first and you lose, otherwise the payoff decides), after
-quotienting all off-tree moves into one EXIT symbol.  Restricted
-strategies are subtrees whose joint play is scored literally.  Both
-brute-force searches name the same winner on the whole small corpus.
+quotienting all off-tree moves at a position into one off-tree label.
+Restricted strategies are subtrees whose joint play is scored
+literally.  Both brute-force searches name the same winner on the whole
+small corpus.
 """
 
 from bcgames import check_def3_def4, enumerate_trees, exit_game, validate_tree

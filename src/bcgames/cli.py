@@ -15,13 +15,7 @@ import time
 
 from . import lab
 from .embedding import EmbeddingError, build_rho, pull_back_strategy, push_game
-from .payoff import (
-    DiffPayoff,
-    PayoffError,
-    compile_diff,
-    parse_payoff,
-    serialize_payoff,
-)
+from .payoff import PayoffError, parse_payoff, serialize_payoff
 from .reduction import (
     ReductionError,
     build_reduction_game,
@@ -39,6 +33,7 @@ from .solver import (
     brute_force_oracle,
     def3_winner,
     exit_game,
+    game_for,
     solve,
     verify_winning,
 )
@@ -74,11 +69,7 @@ def _load_game(args) -> Game:
     tree = parse_tree(_read(args.tree))
     if args.payoff is None:
         return exit_game(tree)
-    payoff = parse_payoff(_read(args.payoff))
-    depth = payoff.decision_depth
-    if isinstance(payoff, DiffPayoff):
-        payoff = compile_diff(payoff, tree)
-    return Game(tree, payoff, depth)
+    return game_for(tree, parse_payoff(_read(args.payoff)))
 
 
 def _cmd_solve(args) -> int:

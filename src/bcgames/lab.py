@@ -37,7 +37,7 @@ from .reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from .solver import Game, SolverError, check_def3_def4, normal_form, quotient_capped, solve
+from .solver import SolverError, check_def3_def4, game_for, normal_form, quotient_capped, solve
 from .solver import verify_winning
 from .trees import FiniteTree, TreeError, enumerate_trees, is_zero_free, parse_tree, serialize_tree
 
@@ -97,10 +97,6 @@ def random_payoffs(tree: FiniteTree, count: int, seed: int, depth: int) -> list[
             entries.append((node, players[rng.below(2)]))
         out.append(ClopenAntichain(tuple(entries), players[rng.below(2)]))
     return out
-
-
-def game_for(tree: FiniteTree, payoff: ClopenAntichain) -> Game:
-    return Game(tree, payoff, payoff.decision_depth)
 
 
 def _oracle_stream(cfg: CampaignConfig) -> Iterator[tuple]:

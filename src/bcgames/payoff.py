@@ -256,17 +256,16 @@ def _parse_diff(lines: list[str]) -> DiffPayoff:
         if not line:
             continue
         if line.startswith("level"):
-            label = line.removeprefix("level").rstrip(":").strip()
-            if label != str(len(levels) + 1):
+            if line != f"level {len(levels) + 1}:":
                 raise PayoffSyntaxError(lineno, f"expected 'level {len(levels) + 1}:', got {raw!r}")
             levels.append(set())
             continue
         if not levels:
             raise PayoffSyntaxError(lineno, "generator line before any 'level' line")
-        if line == EMPTY_GENERATOR:
-            levels[-1].add(())
-        else:
-            levels[-1].add(parse_node(line, lineno, PayoffSyntaxError))
+        generator = () if line == EMPTY_GENERATOR else parse_node(line, lineno, PayoffSyntaxError)
+        if generator in levels[-1]:
+            raise PayoffSyntaxError(lineno, f"duplicate generator {generator!r}")
+        levels[-1].add(generator)
     if len(levels) != k:
         raise PayoffSyntaxError(len(lines), f"header promised k={k} levels, found {len(levels)}")
     return DiffPayoff(tuple(map(frozenset, levels)))

@@ -257,9 +257,9 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
 def solve_reduction(tree: FiniteTree) -> SolveResult:
     """Solve the reduction game built from a zero-free tree.
 
-    Returns the winner (player II, on every finite source tree), a
-    policy certified by exhaustive traversal, and the number of
-    reachable abstract states, terminals included.
+    Returns the winner (player II, on every finite source tree), its
+    policy, uncertified here (``verify_winning_policy`` checks a policy),
+    and the number of reachable abstract states, terminals included.
     """
     game = build_reduction_game(tree)
     values, moves = retrograde(game)

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .payoff import ClopenAntichain, outcome_psi
+from .payoff import ClopenAntichain, DiffPayoff, compile_diff, outcome_psi
 from .players import Player, mover_at
 from .strategy import (
-    EXIT,
     RegularStrategy,
     RestrictedStrategy,
     enumerate_regular_quotient,
@@ -100,6 +99,13 @@ def exit_game(tree: FiniteTree) -> Game:
     """The pure exit game: the payoff is unreachable, so being forced out
     of the tree is the only way to lose."""
     return Game(tree, ClopenAntichain((), Player.II), tree.height + 1)
+
+
+def game_for(tree: FiniteTree, payoff: ClopenAntichain | DiffPayoff) -> Game:
+    """The game ``payoff`` sets on ``tree``, at the payoff's own decision depth."""
+    if isinstance(payoff, DiffPayoff):
+        return Game(tree, compile_diff(payoff, tree), payoff.decision_depth)
+    return Game(tree, payoff, payoff.decision_depth)
 
 
 @dataclass(frozen=True)
@@ -371,7 +377,7 @@ def brute_force_oracle(game: Game) -> Player:
 class WrappedGame:
     """A game under the wrapped outcome, as a game graph: an in-tree node
     short of the decision depth moves to its successors or off the tree by
-    the realized exit move; every other node ends the play for ``outcome_psi``."""
+    its off-tree label; every other node ends the play for ``outcome_psi``."""
 
     game: Game
     initial = ()
@@ -393,13 +399,7 @@ class WrappedGame:
     def certifies(self, strategy: RegularStrategy) -> bool:
         """Does a quotiented regular strategy win every opponent line?
         Only on-path responses matter, so this covers every opponent."""
-        tree = self.game.tree
-
-        def choose(node: Seq) -> int:
-            move = strategy.move_at(node)
-            return realize_exit(tree, node) if move is EXIT else move
-
-        return counterplay(self, strategy.owner, choose) is None
+        return counterplay(self, strategy.owner, strategy.move_at) is None
 
 
 def quotient_capped(tree: FiniteTree) -> FiniteTree:

@@ -10,16 +10,14 @@ leaves for either player: the mover there has no in-tree option and
 will be the one forced out.
 
 Regular strategies over all of the naturals are quotiented to a finite
-alphabet per position: the in-tree successor labels plus the single
-symbolic off-tree move EXIT.  All off-tree moves lose identically for
-the mover, so the quotient never changes an outcome.  EXIT is realized
-concretely as one more than the largest in-tree successor label, or 0
-at positions with no in-tree successor.
+alphabet per position: the in-tree successor labels plus one off-tree
+label, one more than the largest in-tree successor label, or 0 at
+positions with no in-tree successor.  All off-tree moves lose
+identically for the mover, so the quotient never changes an outcome.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -57,20 +55,8 @@ class StrategySyntaxError(StrategyError):
         super().__init__(f"line {line}: {message}")
 
 
-class _ExitMove(enum.Enum):
-    EXIT = "EXIT"
-
-    def __repr__(self) -> str:
-        return "EXIT"
-
-
-EXIT = _ExitMove.EXIT
-
-Move = int | _ExitMove
-
-
 def realize_exit(tree: FiniteTree, position: Seq) -> int:
-    """Concrete number for the canonical off-tree move at a position."""
+    """The quotient's one off-tree label at a position."""
     if position not in tree:
         return 0
     kids = tree.children(position)
@@ -82,10 +68,10 @@ class RegularStrategy:
     """A positional strategy: explicit moves plus an optional default."""
 
     owner: Player
-    moves: Mapping[Hashable, Move]
-    default: Move | None = None
+    moves: Mapping[Hashable, int]
+    default: int | None = None
 
-    def move_at(self, position: Hashable):
+    def move_at(self, position: Hashable) -> int:
         if position in self.moves:
             return self.moves[position]
         if self.default is None:
@@ -152,11 +138,12 @@ def quotient_count(tree: FiniteTree, owner: Player) -> int:
 
 def enumerate_regular_quotient(tree: FiniteTree, owner: Player) -> Iterator[RegularStrategy]:
     """All quotiented regular strategies: per in-tree position where the
-    owner moves, a successor label or EXIT; EXIT everywhere else."""
+    owner moves, a successor label or the off-tree label, and by default
+    0, the label ``realize_exit`` gives every position off the tree."""
     positions = quotient_positions(tree, owner)
-    options = [[c[-1] for c in tree.children(p)] + [EXIT] for p in positions]
+    options = [[c[-1] for c in tree.children(p)] + [realize_exit(tree, p)] for p in positions]
     for combo in itertools.product(*options):
-        yield RegularStrategy(owner, dict(zip(positions, combo)), default=EXIT)
+        yield RegularStrategy(owner, dict(zip(positions, combo)), default=0)
 
 
 STRATEGY_HEADER = "strategy v1"

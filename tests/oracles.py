@@ -55,7 +55,6 @@ from bcgames.reduction import (
 )
 from bcgames.solver import Game, SolveResult, SolverError, UndecidedGame, retrograde, step
 from bcgames.strategy import (
-    EXIT,
     MissingOpponentOption,
     NotExactlyOne,
     RegularStrategy,
@@ -350,6 +349,18 @@ def validate_restricted_by_sorting(
             if len(kept) != len(in_tree):
                 raise MissingOpponentOption(node)
     return strategy
+
+
+class _Exit:
+    """A symbolic off-tree move that a hand-made regular strategy may play;
+    ``product_regular`` and ``wins_by_recursion`` realize it by
+    ``realize_exit``.  The library's quotient plays the label itself."""
+
+    def __repr__(self) -> str:
+        return "EXIT"
+
+
+EXIT = _Exit()
 
 
 def product_regular(

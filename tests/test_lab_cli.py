@@ -7,9 +7,10 @@ import pytest
 
 from bcgames import cli, lab
 from bcgames.lab import CampaignConfig, SplitMix64, random_payoffs, run_campaign
+from bcgames.payoff import compile_diff, parse_payoff
 from bcgames.players import Player
-from bcgames.solver import SolverError
-from bcgames.trees import serialize_tree, validate_tree
+from bcgames.solver import Game, SolverError, solve
+from bcgames.trees import parse_tree, serialize_tree, validate_tree
 from faults import FAULTS, patch_faults
 
 T_FORK = validate_tree([(), (1,), (2,)])
@@ -484,3 +485,18 @@ def test_cli_fmt_needs_exactly_one_file(files, tmp_path, src_env):
         capture_output=True, text=True, env=src_env, cwd=tmp_path, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
+
+
+def test_game_for_takes_both_payoff_forms(tmp_path, monkeypatch, capsys):
+    # the lab and the CLI build a difference payoff's game the same way
+    for name, text in TEXT_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    tree, diff = parse_tree(TEXT_INPUTS["t.txt"]), parse_payoff(TEXT_INPUTS["d.txt"])
+    game = lab.game_for(tree, diff)
+    assert game == Game(tree, compile_diff(diff, tree), diff.decision_depth)
+    assert cli.main(["solve", "--tree", "t.txt", "--payoff", "d.txt", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    result = solve(game)
+    assert result.winner.value == payload["winner"]
+    assert [list(n) for n in sorted(result.strategy.nodes)] == payload["strategy_nodes"]

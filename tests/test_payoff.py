@@ -253,6 +253,10 @@ def test_payoff_codec_errors():
         ("payoff diff v1 k=one\nlevel 1:\n", "line 1: bad level count"),
         ("payoff diff v1 k=1\nlevel 2:\n", "line 2: expected 'level 1:'"),
         ("payoff diff v1 k=1\n1\nlevel 1:\n", "line 2: generator line before"),
+        ("payoff diff v1 k=1\nlevel 1:\n1\n1\n", r"line 4: duplicate generator \(1,\)"),
+        ("payoff diff v1 k=1\nlevel 1:\n()\n()\n", r"line 4: duplicate generator \(\)"),
+        ("payoff diff v1 k=1\nlevel1\n1\n", "line 2: expected 'level 1:'"),
+        ("payoff diff v1 k=1\nlevel 1\n1\n", "line 2: expected 'level 1:'"),
     ]:
         with pytest.raises(PayoffSyntaxError, match=message):
             parse_payoff(text)

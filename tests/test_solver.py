@@ -265,6 +265,28 @@ def test_def3_certificate_matches_recursive_walk():
     assert verdicts == {True, False}
 
 
+def test_def3_route_on_every_tree_to_size_8():
+    # past the def34 suite's size 5: every option the quotient lists short
+    # of the decision depth is a move of the wrapped game, and the def3,
+    # solve and restricted brute-force routes name one winner
+    games = 0
+    for index, tree in enumerate(enumerate_trees(8)):
+        options = {
+            option
+            for owner in (Player.I, Player.II)
+            for strat in enumerate_regular_quotient(tree, owner)
+            for option in strat.moves.items()
+        }
+        for game in _games_with_payoffs(tree, 3, index):
+            view = WrappedGame(game)
+            for position, move in options:
+                if len(position) < game.decision_depth:
+                    assert move in dict(view.transitions(position)), (position, move)
+            assert def3_winner(game) is solve(game).winner is brute_force_oracle(game)
+            games += 1
+    assert games == 864
+
+
 def test_conversion_soundness_small():
     # a winning restricted strategy, made regular, still beats every
     # quotiented opponent under the wrapped outcome

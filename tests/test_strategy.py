@@ -7,7 +7,6 @@ from bcgames.lab import SplitMix64
 from bcgames.players import Player, mover_at
 from bcgames.solver import normal_form
 from bcgames.strategy import (
-    EXIT,
     MissingOpponentOption,
     NotExactlyOne,
     RegularStrategy,
@@ -23,6 +22,7 @@ from bcgames.strategy import (
 )
 from bcgames.trees import MissingPrefix, TreeError, enumerate_trees, validate_tree
 from oracles import (
+    EXIT,
     NotAPath,
     count_restricted,
     enumerate_restricted,
