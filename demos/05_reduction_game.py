@@ -21,7 +21,7 @@ from bcgames.reduction import principal_play, scan_positions
 tree = validate_tree([(), (1,), (2,), (1, 1), (1, 1, 1)])
 game = build_reduction_game(tree)
 result = solve_reduction(tree)
-print("winner:", result.winner, "| abstract states explored:", result.explored)
+print("winner:", result.winner, "| abstract states evaluated:", result.explored)
 print("policy certified:", verify_winning_policy(game, result.strategy) is None)
 
 stats = scan_positions(game)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .players import Player, mover_at
-from .solver import SolveResult, counterplay, retrograde, step
+from .solver import SolveResult, counterplay, induction, solve_graph, step
 from .strategy import RegularStrategy
 from .trees import FiniteTree, Seq, is_zero_free, subtree
 
@@ -259,12 +259,10 @@ def solve_reduction(tree: FiniteTree) -> SolveResult:
 
     Returns the winner (player II, on every finite source tree), its
     policy, uncertified here (``verify_winning_policy`` checks a policy),
-    and the number of reachable abstract states, terminals included.
+    and the number of abstract states the search evaluated, terminals
+    included; see ``solve_graph``.
     """
-    game = build_reduction_game(tree)
-    values, moves = retrograde(game)
-    winner = values[game.initial]
-    return SolveResult(winner, RegularStrategy(winner, moves), len(values))
+    return solve_graph(build_reduction_game(tree))
 
 
 def verify_winning_policy(game: ReductionGame, policy: RegularStrategy) -> list[int] | None:
@@ -397,14 +395,21 @@ def realizable_claim_traces(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
     its own path: f(i) at f[:i] for each i, then the claim 0 at the node.
     Phase 1 belongs to player I alone and no later state returns to phase
     2, so some winning policy gives those answers iff player II wins the
-    game and wins every phase-3 state they lead to.  One solve decides
-    every node.
+    game and wins every phase-3 state they lead to.  One memoized search
+    serves every node: each phase-3 entry is evaluated when a trace first
+    asks for it, and no state is evaluated twice.
     """
-    values, _ = retrograde(build_reduction_game(tree))
-    wins = values[ReductionGame.initial] is Player.II
+    game = build_reduction_game(tree)
+    values: dict = {}
+    first_win: dict = {}
+
+    def wins(st: RState) -> bool:
+        return induction(game, st, values, first_win) is Player.II
+
+    solvable = wins(game.initial)
     for node in tree.sorted_nodes:
         answers = [(node[:i], node[i]) for i in range(len(node))] + [(node, 0)]
-        yield node, wins and all(values[_phase3_entry(t, a)] is Player.II for t, a in answers)
+        yield node, solvable and all(wins(_phase3_entry(t, a)) for t, a in answers)
 
 
 def principal_play(game: ReductionGame, result: SolveResult) -> list[int]:

@@ -9,9 +9,10 @@ and a certified restricted strategy for the winner, stopping at a
 node's first successor won by its mover, and counts the reachable nodes.
 
 The searches run on a game graph, so the reduction game, another finite
-game with at most two moves per turn, shares the full induction and the
-certificate walk.  All keep an explicit stack: no Python frame is spent
-per ply, however tall the tree or long the play.
+game with at most two moves per turn, shares the one induction (memoized,
+and stopping at first wins too), its policy read-off and the certificate
+walk.  All keep an explicit stack: no Python frame is spent per ply,
+however tall the tree or long the play.
 
 Two independent brute-force routes cross-check the induction: one
 builds the normal form, the endpoint of every restricted strategy pair,
@@ -134,55 +135,38 @@ def step(game, state, move):
     return _follow(game.transitions(state), move)
 
 
-def retrograde(game) -> tuple[dict, dict]:
-    """Backward induction over every state reachable from ``game.initial``,
-    with an explicit stack.
+def induction(game, state, values: dict, first_win: dict) -> Player:
+    """The winner from ``state``, by backward induction with an explicit
+    stack that stops at a state's first successor won by its mover.
 
     A state without transitions takes ``game.winner``; elsewhere the
-    mover wins iff some successor is won by the mover.  Returns the value
-    of every reachable state and the winner's policy: on each state the
-    winner reaches while following it, the leftmost move to a state the
-    winner wins.  The policy is read off the edges stored while solving.
+    mover wins iff some successor is won by the mover.  ``values`` is
+    the memo: every state solved is stored there, and a state already
+    in it is not expanded again.  Each state its mover wins maps in
+    ``first_win`` to the leftmost successor the mover wins.  A state its
+    mover loses has had every successor solved.
     """
-    transitions, mover, terminal_winner = game.transitions, game.mover, game.winner
-    values: dict = {}
-    edges: dict = {}
-    # An entry without transitions asks for a state's successors; one with
-    # them comes back once every successor has its value.
-    stack: list = [(game.initial, None)]
-    while stack:
-        state, trans = stack.pop()
-        if trans is None:
-            if state in values:
-                continue
-            trans = transitions(state)
-            if not trans:
-                values[state] = terminal_winner(state)
-                continue
-            stack.append((state, trans))
-            stack.extend([(nxt, None) for _, nxt in reversed(trans)])
-        else:
-            who = mover(state)
-            values[state] = who if who in [values[nxt] for _, nxt in trans] else who.other
-            edges[state] = trans
-
-    winner = values[game.initial]
-    policy: dict = {}
-    seen = set()
-    stack = [game.initial]
-    while stack:
-        state = stack.pop()
-        trans = edges.get(state)
-        if trans is None or state in seen:
+    stack: list = []
+    value = values.get(state)
+    while True:
+        if value is None:  # ``state`` is new: expand it or score it
+            if trans := game.transitions(state):
+                stack.append((state, game.mover(state), iter(trans)))
+            else:
+                value = values[state] = game.winner(state)
+        if not stack:
+            return value
+        node, who, rest = stack[-1]
+        if value is who:
+            first_win[node] = state
+        elif edge := next(rest, None):
+            state = edge[1]
+            value = values.get(state)
             continue
-        seen.add(state)
-        if mover(state) is winner:
-            move, nxt = next(edge for edge in trans if values[edge[1]] is winner)
-            policy[state] = move
-            stack.append(nxt)
         else:
-            stack.extend(nxt for _, nxt in trans)
-    return values, policy
+            value = who.other
+        values[node] = value
+        state = stack.pop()[0]
 
 
 def counterplay(game, owner: Player, choose: Callable) -> list | None:
@@ -228,26 +212,8 @@ def solve(game: Game) -> SolveResult:
     counts the game's reachable states, the tree nodes down to the
     decision depth, whether or not the search solved them."""
     first_win: dict = {}
-    stack: list = []
-    state, value = game.initial, None
-    while True:
-        if value is None:  # ``state`` is new: expand it or score it
-            if trans := game.transitions(state):
-                stack.append((state, game.mover(state), iter(trans)))
-            else:
-                value = game.winner(state)
-        if not stack:
-            break
-        node, who, rest = stack[-1]
-        if value is who:
-            first_win[node] = state
-        elif edge := next(rest, None):
-            state, value = edge[1], None
-            continue
-        else:
-            value = who.other
-        state = stack.pop()[0]
-    winner, tree, nodes, stack = value, game.tree, set(), [()]
+    winner = induction(game, game.initial, {}, first_win)
+    tree, nodes, stack = game.tree, set(), [()]
     while stack:
         node = stack.pop()
         nodes.add(node)
@@ -259,6 +225,34 @@ def solve(game: Game) -> SolveResult:
         stack.extend(kids)
     explored = sum(1 for node in tree.nodes if len(node) <= game.decision_depth)
     return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), explored)
+
+
+def solve_graph(game) -> SolveResult:
+    """``induction`` from ``game.initial``, with the winner's policy read
+    off by a walk from there: at a winner state it takes the move to the
+    first successor the winner wins, elsewhere it follows every move.
+    The winner wins every state the walk reaches, so each was evaluated.
+    ``explored`` counts the states the search evaluated, terminals
+    included; stopping at first wins, it can leave reachable states out.
+    """
+    values: dict = {}
+    first_win: dict = {}
+    winner = induction(game, game.initial, values, first_win)
+    moves: dict = {}
+    seen, stack = set(), [game.initial]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        trans = game.transitions(state)
+        if trans and game.mover(state) is winner:
+            nxt = first_win[state]
+            moves[state] = next(move for move, succ in trans if succ == nxt)
+            stack.append(nxt)
+        else:
+            stack.extend(nxt for _, nxt in trans)
+    return SolveResult(winner, RegularStrategy(winner, moves), len(values))
 
 
 def verify_winning(game: Game, strategy: RestrictedStrategy) -> Seq | None:

@@ -7,11 +7,12 @@ a node-line file read with one full parse per line, the exit rule read two ways,
 entry, the settling prefix of a play, the four terminal rules of the
 reduction game applied to decoded pieces, a play scored move by move,
 the reduction game's positions as an explicit tree, claim traces decided
-by re-solving a pinned game, both players' restricted strategies
-enumerated as node sets, the restricted product as the deepest shared
+by re-solving a pinned game and again from the full walk's values, both
+players' restricted strategies enumerated as node sets, the restricted product as the deepest shared
 node and again by walking a child index, each player's restricted
 strategies counted over the whole tree, the restricted oracle as a loop
-over every strategy pair, ``solve`` as the full backward induction,
+over every strategy pair, the backward induction that evaluates every
+reachable state (``retrograde``) and ``solve`` read off it,
 restricted strategies checked in sorted order, the alternating play
 of two regular strategies, a restricted strategy in positional form,
 the def3 certificate as a recursive walk, the reduction
@@ -53,7 +54,7 @@ from bcgames.reduction import (
     _phase3_entry,
     build_reduction_game,
 )
-from bcgames.solver import Game, SolveResult, SolverError, UndecidedGame, retrograde, step
+from bcgames.solver import Game, SolveResult, SolverError, UndecidedGame, step
 from bcgames.strategy import (
     MissingOpponentOption,
     NotExactlyOne,
@@ -292,6 +293,57 @@ def oracle_by_pairs(game: Game) -> Player:
     if any(all(outcome(s, t) is Player.II for s in sigmas) for t in taus):
         return Player.II
     raise SolverError("neither player has a winning restricted strategy")
+
+
+def retrograde(game) -> tuple[dict, dict]:
+    """Backward induction over every state reachable from ``game.initial``,
+    with an explicit stack.
+
+    A state without transitions takes ``game.winner``; elsewhere the
+    mover wins iff some successor is won by the mover.  Returns the value
+    of every reachable state and the winner's policy: on each state the
+    winner reaches while following it, the leftmost move to a state the
+    winner wins.  The policy is read off the edges stored while solving.
+    """
+    transitions, mover, terminal_winner = game.transitions, game.mover, game.winner
+    values: dict = {}
+    edges: dict = {}
+    # An entry without transitions asks for a state's successors; one with
+    # them comes back once every successor has its value.
+    stack: list = [(game.initial, None)]
+    while stack:
+        state, trans = stack.pop()
+        if trans is None:
+            if state in values:
+                continue
+            trans = transitions(state)
+            if not trans:
+                values[state] = terminal_winner(state)
+                continue
+            stack.append((state, trans))
+            stack.extend([(nxt, None) for _, nxt in reversed(trans)])
+        else:
+            who = mover(state)
+            values[state] = who if who in [values[nxt] for _, nxt in trans] else who.other
+            edges[state] = trans
+
+    winner = values[game.initial]
+    policy: dict = {}
+    seen = set()
+    stack = [game.initial]
+    while stack:
+        state = stack.pop()
+        trans = edges.get(state)
+        if trans is None or state in seen:
+            continue
+        seen.add(state)
+        if mover(state) is winner:
+            move, nxt = next(edge for edge in trans if values[edge[1]] is winner)
+            policy[state] = move
+            stack.append(nxt)
+        else:
+            stack.extend(nxt for _, nxt in trans)
+    return values, policy
 
 
 def solve_by_retrograde(game: Game) -> SolveResult:
@@ -572,6 +624,17 @@ def realizable_by_pinning(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
         game = PinnedGame(tree, pins)
         values, _ = retrograde(game)
         yield node, values[game.initial] is Player.II
+
+
+def claim_traces_by_full_walk(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
+    """``realizable_claim_traces``' rule read off the full walk's values:
+    player II wins the game and every phase-3 entry the node's answers
+    lead to."""
+    values, _ = retrograde(build_reduction_game(tree))
+    wins = values[ReductionGame.initial] is Player.II
+    for node in tree.sorted_nodes:
+        answers = [(node[:i], node[i]) for i in range(len(node))] + [(node, 0)]
+        yield node, wins and all(values[_phase3_entry(t, a)] is Player.II for t, a in answers)
 
 
 def _full_phase4_entry(t: Seq, u0: int, v_len: int, v0_ok: bool | None) -> RState:

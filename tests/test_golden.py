@@ -5,9 +5,11 @@ They pin every byte of ``solve --json`` over the size <= 7 corpus under
 seeded campaign payoffs, and of ``reduce --extract --json`` over the
 zero-free size <= 7 corpus: winners, strategies, explored node counts,
 principal plays and extracted branches.  The reduction's ``explored``
-is left out there, because it counts the solver's states rather than
-anything about the game.  The state digest pins exactly that over the
-same corpus, on the reduction game with both phase-4 lengths kept
+is left out there, because it counts the states the solver's search
+evaluated rather than anything about the game.  The state digest pins
+the reachable states instead, counted by the full walk
+(``oracles.retrograde``) over the same corpus, on the reduction game
+with both phase-4 lengths kept
 (``oracles.FullReductionGame``, the reference the quotiented game is
 tested against), together with every state of its winning policy in
 insertion order and the position scan, so a change in how its states
@@ -31,10 +33,9 @@ from bcgames import cli
 from bcgames.lab import CampaignConfig, SplitMix64, random_payoffs, run_campaign
 from bcgames.payoff import serialize_payoff
 from bcgames.reduction import scan_positions
-from bcgames.solver import retrograde
 from bcgames.trees import enumerate_trees, serialize_tree
 from faults import patch_faults
-from oracles import FullReductionGame, relabel
+from oracles import FullReductionGame, relabel, retrograde
 
 SOLVE_DIGEST = "7fa760ae4bd8aa2775bdeb31ea6832744086676ed5194ae5c9c0dccc06bcf8fe"
 REDUCE_DIGEST = "704293befd736b4d520ccd84bfe393c82f75552ad484ac4776e3d49b4051c5ea"

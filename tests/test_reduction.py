@@ -26,12 +26,13 @@ from bcgames.reduction import (
     solve_reduction,
     verify_winning_policy,
 )
-from bcgames.solver import counterplay, retrograde
+from bcgames.solver import counterplay, induction, solve_graph
 from bcgames.strategy import RegularStrategy
 from bcgames.trees import enumerate_trees, subtree, validate_tree
 from oracles import (
     FullReductionGame,
     apply_rules,
+    claim_traces_by_full_walk,
     deepest_branch,
     encode_build_moves,
     height_policy_answers,
@@ -40,6 +41,7 @@ from oracles import (
     quotient_state,
     realizable_by_pinning,
     relabel,
+    retrograde,
     scan_by_walk,
     terminal_outcome,
     terminal_winner,
@@ -278,17 +280,60 @@ def test_phase2_pins_name_reachable_states():
 
 
 def test_claim_traces_match_pinned_re_solve(monkeypatch):
-    solves = []
+    expanded = []
+    transitions = ReductionGame.transitions
 
-    def counted(game):
-        solves.append(game)
-        return retrograde(game)
+    def counting(game, st):
+        expanded.append(st)
+        return transitions(game, st)
 
-    monkeypatch.setattr(reduction, "retrograde", counted)
     for tree in ZERO_FREE_6:
-        del solves[:]
-        assert list(realizable_claim_traces(tree)) == list(realizable_by_pinning(tree))
-        assert len(solves) == 1
+        pinned = list(realizable_by_pinning(tree))
+        with monkeypatch.context() as patch:
+            patch.setattr(ReductionGame, "transitions", counting)
+            del expanded[:]
+            traces = list(realizable_claim_traces(tree))
+        assert traces == pinned
+        # one memoized search serves every node: no state is expanded twice
+        assert expanded and len(set(expanded)) == len(expanded)
+
+
+def assert_matches_full_walk(game, result):
+    """The first-win search against the walk that evaluates every
+    reachable state; returns how many of those states it left out."""
+    values, policy = retrograde(game)
+    memo = {}
+    assert induction(game, game.initial, memo, {}) is result.winner is values[game.initial]
+    assert list(result.strategy.moves.items()) == list(policy.items())
+    assert all(values[st] is value for st, value in memo.items())
+    assert result.explored == len(memo) <= len(values)
+    return len(values) - len(memo)
+
+
+def test_first_win_search_matches_the_full_walk():
+    rng = SplitMix64(0x4E18)
+    trees = list(enumerate_trees(8, zero_free=True))
+    trees += [relabel(shape, rng) for shape in enumerate_trees(8)]
+    trees += [tall_tree(24), tall_tree(60), comb(16), comb(40)]
+    skipped = [
+        assert_matches_full_walk(ReductionGame(tree), solve_reduction(tree)) for tree in trees
+    ]
+    assert any(skipped)
+    for tree in ZERO_FREE_7:
+        game = FullReductionGame(tree)
+        assert_matches_full_walk(game, solve_graph(game))
+
+
+def test_first_win_search_skips_states_on_a_comb():
+    assert solve_reduction(comb(16)).explored == 1950
+    assert len(retrograde(ReductionGame(comb(16)))[0]) == 4003
+
+
+def test_claim_traces_match_the_full_walk():
+    rng = SplitMix64(0x4E19)
+    for shape in ZERO_FREE_7:
+        tree = relabel(shape, rng)
+        assert list(realizable_claim_traces(tree)) == list(claim_traces_by_full_walk(tree))
 
 
 def test_cardinality_bound_examples():

@@ -20,7 +20,6 @@ from bcgames.solver import (
     def3_winner,
     exit_game,
     normal_form,
-    retrograde,
     solve,
     verify_winning,
 )
@@ -39,6 +38,7 @@ from oracles import (
     product_regular,
     relabel,
     restricted_to_regular,
+    retrograde,
     solve_by_retrograde,
     sparse_trees,
     wins_by_recursion,
