@@ -9,49 +9,64 @@ the image pulls back to a winning strategy on the source.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from operator import le
 
 from .payoff import ClopenAntichain
 from .solver import Game
 from .strategy import RestrictedStrategy
-from .trees import FiniteTree, Seq
+from .trees import FiniteTree, Seq, lay_out
 
 
 class EmbeddingError(Exception):
     pass
 
 
+def _position(order: tuple[Seq, ...], node: Seq) -> int:
+    """The index of ``node`` in the sorted ``order``; KeyError if absent."""
+    i = bisect_left(order, node)
+    if i == len(order) or order[i] != node:
+        raise KeyError(node)
+    return i
+
+
 @dataclass(frozen=True)
 class RhoMap:
+    """The embedding of ``source`` onto ``range_tree``: a node and its image
+    hold the same preorder position, so lookups go through it."""
+
     source: FiniteTree
-    forward: Mapping[Seq, Seq]
-    inverse: Mapping[Seq, Seq]
     range_tree: FiniteTree
 
     def __call__(self, node: Seq) -> Seq:
-        return self.forward[node]
+        return self.range_tree.sorted_nodes[_position(self.source.sorted_nodes, node)]
+
+    @cached_property
+    def forward(self) -> dict[Seq, Seq]:
+        return dict(zip(self.source.sorted_nodes, self.range_tree.sorted_nodes))
+
+    @cached_property
+    def inverse(self) -> dict[Seq, Seq]:
+        return dict(zip(self.range_tree.sorted_nodes, self.source.sorted_nodes))
 
 
 def build_rho(tree: FiniteTree) -> RhoMap:
-    """Length- and order-preserving bijection onto a {0,1}-labelled tree."""
-    forward: dict[Seq, Seq] = {(): ()}
-    for node in tree.sorted_nodes:
-        image = forward[node]
-        for i, child in enumerate(tree.children(node)):
-            forward[child] = image + (i,)
-    inverse = {image: node for node, image in forward.items()}
-    range_tree = FiniteTree(frozenset(forward.values()))
-    return RhoMap(tree, forward, inverse, range_tree)
+    """Length- and order-preserving bijection onto a {0,1}-labelled tree:
+    a node's image is its parent's image plus its place among siblings."""
+    depths = list(map(len, tree.sorted_nodes))
+    # In preorder a node is a second successor iff it is no deeper than
+    # the node before it, which then lies in its sibling's subtree.
+    steps = zip(depths[1:], map(int, map(le, depths[1:], depths)))
+    return RhoMap(tree, lay_out(steps, tree.depth_counts))
 
 
 def push_payoff(rho: RhoMap, payoff: ClopenAntichain) -> ClopenAntichain:
     """Transport each entry prefix through the embedding; the default and
     the exit penalty semantics carry over unchanged.  An entry that is not
     a node of the source tree is dropped: no in-tree play can reach it."""
-    entries = tuple(
-        (rho.forward[prefix], winner) for prefix, winner in payoff.entries if prefix in rho.forward
-    )
+    entries = tuple((rho(prefix), winner) for prefix, winner in payoff.entries if prefix in rho.source)
     return ClopenAntichain(entries, payoff.default)
 
 
@@ -63,8 +78,9 @@ def push_game(rho: RhoMap, game: Game) -> Game:
 
 def pull_back_strategy(rho: RhoMap, strategy: RestrictedStrategy) -> RestrictedStrategy:
     """Preimage of a strategy on the range tree, node by node."""
+    source, image = rho.source.sorted_nodes, rho.range_tree.sorted_nodes
     try:
-        nodes = frozenset(rho.inverse[n] for n in strategy.nodes)
+        nodes = frozenset(source[_position(image, n)] for n in strategy.nodes)
     except KeyError as exc:
         raise EmbeddingError(f"strategy node {exc.args[0]!r} is outside the range tree") from None
     return RestrictedStrategy(strategy.owner, nodes)

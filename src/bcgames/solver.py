@@ -143,30 +143,33 @@ def induction(game, state, values: dict, first_win: dict) -> Player:
     mover wins iff some successor is won by the mover.  ``values`` is
     the memo: every state solved is stored there, and a state already
     in it is not expanded again.  Each state its mover wins maps in
-    ``first_win`` to the leftmost successor the mover wins.  A state its
-    mover loses has had every successor solved.
+    ``first_win`` to the ``(move, successor)`` transition to the
+    leftmost successor the mover wins.  A state its mover loses has had
+    every successor solved.
     """
-    stack: list = []
+    stack: list = []  # (transition reaching a state, its mover, its moves left)
+    edge = (None, state)
     value = values.get(state)
     while True:
-        if value is None:  # ``state`` is new: expand it or score it
+        if value is None:  # ``edge`` reaches a new state: expand it or score it
+            state = edge[1]
             if trans := game.transitions(state):
-                stack.append((state, game.mover(state), iter(trans)))
+                stack.append((edge, game.mover(state), iter(trans)))
             else:
                 value = values[state] = game.winner(state)
         if not stack:
             return value
-        node, who, rest = stack[-1]
+        reached, who, rest = stack[-1]
         if value is who:
-            first_win[node] = state
-        elif edge := next(rest, None):
-            state = edge[1]
-            value = values.get(state)
+            first_win[reached[1]] = edge
+        elif nxt := next(rest, None):
+            edge = nxt
+            value = values.get(edge[1])
             continue
         else:
             value = who.other
-        values[node] = value
-        state = stack.pop()[0]
+        values[reached[1]] = value
+        edge = stack.pop()[0]
 
 
 def counterplay(game, owner: Player, choose: Callable) -> list | None:
@@ -221,9 +224,10 @@ def solve(game: Game) -> SolveResult:
         if kids and mover_at(len(node)) is winner:
             # Below the decision depth the choice no longer matters, so the
             # leftmost successor keeps the subtree valid.
-            kids = [first_win.get(node, kids[0])]
+            edge = first_win.get(node)
+            kids = [edge[1] if edge else kids[0]]
         stack.extend(kids)
-    explored = sum(1 for node in tree.nodes if len(node) <= game.decision_depth)
+    explored = sum(tree.depth_counts[: game.decision_depth + 1])
     return SolveResult(winner, RestrictedStrategy(winner, frozenset(nodes)), explored)
 
 
@@ -245,13 +249,11 @@ def solve_graph(game) -> SolveResult:
         if state in seen:
             continue
         seen.add(state)
-        trans = game.transitions(state)
-        if trans and game.mover(state) is winner:
-            nxt = first_win[state]
-            moves[state] = next(move for move, succ in trans if succ == nxt)
-            stack.append(nxt)
+        if edge := first_win.get(state):  # each winner state with moves
+            moves[state] = edge[0]
+            stack.append(edge[1])
         else:
-            stack.extend(nxt for _, nxt in trans)
+            stack.extend(nxt for _, nxt in game.transitions(state))
     return SolveResult(winner, RegularStrategy(winner, moves), len(values))
 
 

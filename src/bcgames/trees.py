@@ -9,11 +9,15 @@ leftmost successor of a node is the one with the least label.
 Node order everywhere in this package is shortest-prefix-first
 lexicographic, which is exactly Python's tuple order; iteration over a
 tree is therefore deterministic.
+
+``FiniteTree(nodes)`` checks every rule on any node set; ``lay_out``
+builds a tree from a preorder known to give one, checking nothing twice.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator
@@ -57,7 +61,9 @@ class TreeSyntaxError(TreeError):
 
 @dataclass(frozen=True)
 class FiniteTree:
-    """Immutable binary choice tree with a precomputed child index."""
+    """Immutable binary choice tree with a precomputed child index, its
+    preorder (``sorted_nodes``) and its nodes per depth (``depth_counts``),
+    derived on demand unless ``lay_out`` set them."""
 
     nodes: frozenset[Seq]
 
@@ -68,6 +74,15 @@ class FiniteTree:
         if max(map(len, index.values())) > 2:
             raise TooManySuccessors(min(p for p, kids in index.items() if len(kids) > 2))
         object.__setattr__(self, "_children", index)
+
+    @classmethod
+    def _from_preorder(cls, order: list[Seq], index: dict, counts: tuple[int, ...] | None) -> FiniteTree:
+        # Unchecked.  ``frozenset`` of a dict reuses the hashes it holds.
+        tree = object.__new__(cls)
+        vars(tree).update(nodes=frozenset(index), _children=index, sorted_nodes=tuple(order))
+        if counts is not None:
+            vars(tree)["depth_counts"] = counts
+        return tree
 
     def __contains__(self, node: Seq) -> bool:
         return node in self.nodes
@@ -106,8 +121,14 @@ class FiniteTree:
         return len(self.nodes)
 
     @cached_property
+    def depth_counts(self) -> tuple[int, ...]:
+        """The number of nodes at each depth, the root's first."""
+        counts = Counter(map(len, self.nodes))
+        return tuple(counts[depth] for depth in range(len(counts)))
+
+    @cached_property
     def height(self) -> int:
-        return max(len(node) for node in self.nodes)
+        return len(self.depth_counts) - 1
 
 
 def child_index(nodes: Iterable[Seq]) -> dict[Seq, tuple[Seq, ...]]:
@@ -131,6 +152,29 @@ def child_index(nodes: Iterable[Seq]) -> dict[Seq, tuple[Seq, ...]]:
     return index
 
 
+def lay_out(steps: Iterable[tuple[int, int]], counts: tuple[int, ...] | None = None) -> FiniteTree:
+    """The tree whose non-root nodes, in preorder, come from ``(depth,
+    label)`` steps: each appends its label to the open node one depth up.
+    Each node is hashed once, as it closes.  Only siblings are checked:
+    ValueError for a label not above the last one, or for a third."""
+    order, index = [ROOT], {}
+    path, kids = [ROOT], [[]]  # the open nodes, root first, and their successors so far
+    for depth, label in steps:
+        while len(path) > depth:
+            index[path.pop()] = tuple(kids.pop())
+        siblings = kids[-1]
+        if siblings and (len(siblings) == 2 or siblings[-1][-1] >= label):
+            raise ValueError(f"successor {label} out of preorder at depth {depth}")
+        node = path[-1] + (label,)
+        siblings.append(node)
+        path.append(node)
+        kids.append([])
+        order.append(node)
+    while path:
+        index[path.pop()] = tuple(kids.pop())
+    return FiniteTree._from_preorder(order, index, counts)
+
+
 def validate_tree(candidate: Iterable[Seq]) -> FiniteTree:
     """Check prefix closure, then the root, then the two-successor cap;
     closure and cap failures name the least offending node."""
@@ -150,12 +194,9 @@ def is_zero_free(tree: FiniteTree) -> bool:
 
 
 def zero_free_transform(tree: FiniteTree) -> FiniteTree:
-    """Shift every label up by one, freeing 0 for use as a control symbol.
-
-    The result has the same shape: size, height, successor counts and
-    left/right order are all preserved.
-    """
-    return FiniteTree(frozenset(tuple(x + 1 for x in node) for node in tree.nodes))
+    """Shift every label up by one, freeing 0 for use as a control symbol;
+    the result has the source's shape, laid out from its preorder."""
+    return lay_out(((len(node), node[-1] + 1) for node in tree.sorted_nodes[1:]), tree.depth_counts)
 
 
 @cache
@@ -171,13 +212,10 @@ def _shapes(size: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _shape_nodes(shape: tuple, base: Seq, lo: int, hi: int) -> list[Seq]:
-    nodes = [base]
-    if len(shape) >= 1:
-        nodes += _shape_nodes(shape[0], base + (lo,), lo, hi)
-    if len(shape) == 2:
-        nodes += _shape_nodes(shape[1], base + (hi,), lo, hi)
-    return nodes
+def _shape_steps(shape: tuple, depth: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    for label, child in zip((lo, hi), shape):
+        yield depth, label
+        yield from _shape_steps(child, depth + 1, lo, hi)
 
 
 def enumerate_trees(max_size: int, zero_free: bool = False) -> Iterator[FiniteTree]:
@@ -193,7 +231,7 @@ def enumerate_trees(max_size: int, zero_free: bool = False) -> Iterator[FiniteTr
     lo, hi = (1, 2) if zero_free else (0, 1)
     for size in range(1, max_size + 1):
         for shape in _shapes(size):
-            yield FiniteTree(frozenset(_shape_nodes(shape, ROOT, lo, hi)))
+            yield lay_out(_shape_steps(shape, 1, lo, hi))
 
 
 TREE_HEADER = "tree v1"
@@ -278,7 +316,24 @@ def read_header(lines: list[str], header: str, key: str | None, error: Callable)
 
 def parse_tree(text: str) -> FiniteTree:
     """Parse the tree file format; the root is implicit and line order is
-    irrelevant, but duplicate node lines are rejected."""
+    irrelevant, but duplicate node lines are rejected.  A file in which
+    each line is the open line one depth up, a space and a natural is laid
+    out in one pass; any other is read by ``parse_node_lines`` and checked
+    whole by the constructor, which raise every error."""
     lines = text.splitlines()
     read_header(lines, TREE_HEADER, None, TreeSyntaxError)
-    return FiniteTree(parse_node_lines(lines, TreeSyntaxError))
+    texts = [""]  # texts[d]: the open line at depth d
+
+    def step(raw: str) -> tuple[int, int]:
+        head, _, label = raw.rpartition(" ")
+        depth = raw.count(" ") + 1
+        if depth > len(texts) or texts[depth - 1] != head or (x := int(label)) < 0:
+            raise ValueError(f"{raw!r} does not continue the preorder")
+        del texts[depth:]
+        texts.append(raw)
+        return depth, x
+
+    try:
+        return lay_out(map(step, lines[1:]))
+    except ValueError:
+        return FiniteTree(parse_node_lines(lines, TreeSyntaxError))

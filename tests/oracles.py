@@ -21,7 +21,8 @@ from its states to the quotiented ones, the position scan as a walk of
 every position, and the paper's height argument as the leftmost deepest
 branch. ``node_sets`` draws the inputs the tree rules are compared on;
 ``sparse_trees`` and ``messy_text`` draw the codecs' inputs; ``relabel``
-gives a shape seeded sparse labels.
+gives a shape seeded sparse labels; ``tree_fields`` lists what a tree
+answers, so trees built two ways compare field by field.
 """
 
 from __future__ import annotations
@@ -190,6 +191,13 @@ def relabel(tree: FiniteTree, rng: SplitMix64) -> FiniteTree:
         for kid, label in zip(kids, labels):
             image[kid] = image[node] + (label,)
     return FiniteTree(frozenset(image.values()))
+
+
+def tree_fields(tree: FiniteTree) -> tuple:
+    """A tree's fields as its readers see them: the node set, the
+    preorder, every node's successors, the height and the nodes per depth."""
+    children = [tree.children(node) for node in tree.sorted_nodes]
+    return tree.nodes, tree.sorted_nodes, children, tree.height, tree.depth_counts
 
 
 @st.composite

@@ -1,12 +1,13 @@
 import pytest
 
 from bcgames.embedding import EmbeddingError, build_rho, pull_back_strategy, push_game, push_payoff
-from bcgames.lab import game_for, random_payoffs
+from bcgames.lab import SplitMix64, game_for, random_payoffs
 from bcgames.payoff import ClopenAntichain
 from bcgames.players import Player
 from bcgames.solver import Game, exit_game, solve, verify_winning
 from bcgames.strategy import RestrictedStrategy
-from bcgames.trees import enumerate_trees, validate_tree
+from bcgames.trees import enumerate_trees, parse_tree, serialize_tree, validate_tree, zero_free_transform
+from oracles import relabel, tree_fields
 
 T = validate_tree([(), (1,), (2,), (1, 3)])
 
@@ -82,3 +83,68 @@ def test_winner_preserved_and_pullback_certified():
         assert source.winner is image.winner
         pulled = pull_back_strategy(rho, image.strategy)
         assert verify_winning(game, pulled) is None
+
+
+SHAPES_8 = list(enumerate_trees(8))
+TALL_PATH = validate_tree([(7,) * i for i in range(2001)])
+
+
+def laid_out_cases():
+    rng = SplitMix64(0x4E1B)
+    return [*SHAPES_8, *(relabel(shape, rng) for shape in SHAPES_8), TALL_PATH]
+
+
+def image_by_positions(tree, node):
+    """The word of sibling positions that reaches ``node``, read off the
+    child index one prefix at a time."""
+    return tuple(tree.children(node[:i]).index(node[: i + 1]) for i in range(len(node)))
+
+
+def test_laid_out_trees_match_the_checked_constructor():
+    for tree in laid_out_cases():
+        rho = build_rho(tree)
+        image = rho.range_tree
+        assert tree_fields(image) == tree_fields(validate_tree(image.nodes))
+        shifted = zero_free_transform(tree)
+        assert shifted.nodes == {tuple(x + 1 for x in node) for node in tree.nodes}
+        assert tree_fields(shifted) == tree_fields(validate_tree(shifted.nodes))
+        if len(tree) <= 8:
+            assert rho.forward == {node: image_by_positions(tree, node) for node in tree}
+        assert rho.inverse == {v: k for k, v in rho.forward.items()}
+        assert all(rho(node) == rho.forward[node] for node in tree)
+
+
+def test_pull_back_matches_the_inverse_dict():
+    rng = SplitMix64(0x4E1C)
+    for tree in [*laid_out_cases()[::7], TALL_PATH]:
+        rho = build_rho(tree)
+        image = rho.range_tree.sorted_nodes
+        picks = [{()} for _ in range(3)]
+        for kept in picks:  # prefix closed: a node is drawn only below a kept one
+            kept.update(n for n in image[1:] if n[:-1] in kept and rng.below(2))
+        for nodes in [*map(frozenset, picks), solve(exit_game(rho.range_tree)).strategy.nodes]:
+            pulled = pull_back_strategy(rho, RestrictedStrategy(Player.II, nodes))
+            assert pulled.nodes == frozenset(rho.inverse[n] for n in nodes)
+    # Nodes off the tree between two of its nodes in preorder, and past the last.
+    rho = build_rho(T)
+    with pytest.raises(KeyError):
+        rho((1, 2))
+    stray = RestrictedStrategy(Player.I, frozenset({(), (0,), (0, 1)}))
+    for source in [T, TALL_PATH]:
+        with pytest.raises(EmbeddingError, match=r"\(0, 1\) is outside"):
+            pull_back_strategy(build_rho(source), stray)
+
+
+def parsed(nodes):
+    return parse_tree(serialize_tree(validate_tree(nodes)))
+
+
+@pytest.mark.parametrize("build", [validate_tree, parsed])
+def test_explored_counts_the_nodes_down_to_the_decision_depth(build):
+    rng = SplitMix64(0x4E1D)
+    for tree in [*laid_out_cases()[::5], TALL_PATH]:
+        tree = build(tree.nodes)
+        for t in (tree, build_rho(tree).range_tree, zero_free_transform(tree)):
+            for depth in (0, t.height // 2, t.height, t.height + 3):
+                game = Game(t, ClopenAntichain((), (Player.I, Player.II)[rng.below(2)]), depth)
+                assert solve(game).explored == sum(len(n) <= depth for n in t.nodes)

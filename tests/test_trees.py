@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from bcgames import trees
 from bcgames.payoff import PayoffSyntaxError, parse_payoff
 from bcgames.strategy import StrategySyntaxError, parse_strategy
 from bcgames.trees import (
@@ -32,6 +33,7 @@ from oracles import (
     parse_node_by_parts,
     read_node_lines_by_line,
     sparse_trees,
+    tree_fields,
 )
 
 CORPUS_6 = list(enumerate_trees(6))
@@ -355,3 +357,57 @@ def test_constructor_matches_sorting_validator(nodes):
     assert type(err.value) is type(expected)
     assert str(err.value) == str(expected)
     assert getattr(err.value, "node", None) == getattr(expected, "node", None)
+
+
+def fields_or_error(build, text):
+    try:
+        return tree_fields(build(text))
+    except TreeError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+def parse_by_checked_constructor(text):
+    return validate_tree(parse_node_lines(text.splitlines(), TreeSyntaxError))
+
+
+@given(node_lines(), st.booleans(), st.data())
+def test_parse_tree_matches_checked_constructor(lines, shuffle, data):
+    text = data.draw(messy_text("tree v1", lines)) if shuffle else "\n".join(["tree v1", *lines]) + "\n"
+    assert fields_or_error(parse_tree, text) == fields_or_error(parse_by_checked_constructor, text)
+
+
+TALL_PATH_TEXT = serialize_tree(validate_tree([(7,) * i for i in range(2001)]))
+
+
+@pytest.mark.parametrize(
+    "text, laid_out",
+    [
+        *[(serialize_tree(tree), True) for tree in CORPUS_6],
+        ("tree v1\n10\n10 20\n10 20 30\n10 40\n99\n99 3\n", True),
+        (TALL_PATH_TEXT, True),
+        ("tree v1\n2\n1\n", False),  # siblings out of order
+        ("tree v1\n1\n1 5\n1 3\n", False),
+        ("tree v1\n1\n2\n3\n", False),  # a third successor
+        ("tree v1\n1\n1 1\n1 2\n1 3\n", False),  # a third successor after the others' subtrees
+        ("tree v1\n1\n1 1\n1 1 4\n1 2\n1 3\n", False),
+        ("tree v1\n1\n1\n", False),  # a repeated line
+        ("tree v1\n1\n1 2\n1\n", False),
+        ("tree v1\n1\n1 2\n1 2\n", False),
+        ("tree v1\n1 3\n", False),  # a missing prefix
+        ("tree v1\n1\n\n2\n", False),  # a blank line
+        ("tree v1\n1\n1 -2\n", False),
+        ("tree v1\n1\n1 x\n", False),
+        (TALL_PATH_TEXT.replace("\n7 7\n", "\n"), False),
+        (TALL_PATH_TEXT + TALL_PATH_TEXT.splitlines()[-1] + "\n", False),
+    ],
+)
+def test_parse_tree_matches_checked_constructor_on_examples(text, laid_out, monkeypatch):
+    expected = fields_or_error(parse_by_checked_constructor, text)
+    assert fields_or_error(parse_tree, text) == expected
+
+    def no_checked_reader(lines, error):
+        raise error(0, "the checked reader was called")
+
+    # Without the checked reader only a file the one-pass layout takes parses.
+    monkeypatch.setattr(trees, "parse_node_lines", no_checked_reader)
+    assert (fields_or_error(parse_tree, text) == expected) is laid_out
