@@ -66,8 +66,13 @@ def push_payoff(rho: RhoMap, payoff: ClopenAntichain) -> ClopenAntichain:
     """Transport each entry prefix through the embedding; the default and
     the exit penalty semantics carry over unchanged.  An entry that is not
     a node of the source tree is dropped: no in-tree play can reach it."""
-    entries = tuple((rho(prefix), winner) for prefix, winner in payoff.entries if prefix in rho.source)
-    return ClopenAntichain(entries, payoff.default)
+    order, image = rho.source.sorted_nodes, rho.range_tree.sorted_nodes
+    entries, i = [], 0
+    for prefix, winner in payoff.entries:  # sorted: each bisect starts where the last landed
+        i = bisect_left(order, prefix, i)
+        if i < len(order) and order[i] == prefix:
+            entries.append((image[i], winner))
+    return ClopenAntichain(tuple(entries), payoff.default)
 
 
 def push_game(rho: RhoMap, game: Game) -> Game:

@@ -28,9 +28,10 @@ who makes an illegal move loses on the spot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .players import Player, mover_at
+from .players import Player
 from .solver import SolveResult, counterplay, induction, solve_graph, step
 from .strategy import RegularStrategy
 from .trees import FiniteTree, Seq, is_zero_free, subtree
@@ -44,6 +45,7 @@ IDLE_B = "idle-b"
 DONE = "done"
 
 _NEXT_AFTER_IDLE = {IDLE_CTRL: MICRO_A, IDLE_A: MICRO_B, IDLE_B: CTRL}
+_new = tuple.__new__
 
 
 class ReductionError(Exception):
@@ -71,13 +73,13 @@ class StrategyNotWinning(ReductionError):
 class RState(NamedTuple):
     """Abstract game state; positions sharing a state share their future.
 
-    A named tuple, built field by field by the constructor on every move,
-    so hashing and comparing states is the tuple's own work."""
+    ``cur`` and ``t`` are preorder ids of ``source.sorted_nodes``, and the
+    game builds every state with all eleven fields by ``tuple.__new__``."""
 
     phase: int  # 1..4, 5 once finished
     step: str
-    cur: Seq | None  # node being navigated; None = off the tree after a claim
-    t: Seq | None  # fixed at the end of phase 1, dropped entering phase 4
+    cur: int | None  # id of the node being navigated; None = off the tree after a claim
+    t: int | None  # fixed at the end of phase 1, dropped entering phase 4
     u0: int | None  # fixed at the end of phase 2, dropped entering phase 4
     a2: int | None  # pending first micro move of phase 2
     v_len: int  # from phase 4 on, in the canonical form ``_phase4`` builds
@@ -96,15 +98,15 @@ _MOVER = {
 }
 
 
-def _phase2_entry(t: Seq) -> RState:
-    return RState(2, MICRO_A, t, t, None, None, 0, None, 0)
+def _phase2_entry(t: int) -> RState:
+    return _new(RState, (2, MICRO_A, t, t, None, None, 0, None, 0, None, None))
 
 
-def _phase3_entry(t: Seq, u0: int) -> RState:
-    return RState(3, CTRL, t, t, u0, None, 0, None, 0)
+def _phase3_entry(t: int, u0: int) -> RState:
+    return _new(RState, (3, CTRL, t, t, u0, None, 0, None, 0, None, None))
 
 
-def _phase4(step: str, cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+def _phase4(step: str, cur: int | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
     """A phase-4 state in canonical form.
 
     The terminal rules read only whether rule 2 is settled, whether
@@ -113,11 +115,11 @@ def _phase4(step: str, cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: i
     keeps only how far u is behind v, clamped at zero once u has caught
     up; states that agree on these share their future."""
     if v_len == 0 or v0_ok:
-        return RState(4, step, cur, None, None, None, 0, None, 0)
-    return RState(4, step, cur, None, None, None, max(v_len - u_len, 0) + 1, False, 1)
+        return _new(RState, (4, step, cur, None, None, None, 0, None, 0, None, None))
+    return _new(RState, (4, step, cur, None, None, None, max(v_len - u_len, 0) + 1, False, 1, None, None))
 
 
-def _terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+def _terminal(cur: int | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
     if v_len == 0 or v0_ok:
         winner, rule = Player.II, "rule2"
     elif cur is None:
@@ -126,13 +128,31 @@ def _terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RS
         winner, rule = Player.II, "rule4"
     else:
         winner, rule = Player.I, "rule4"
-    return RState(5, DONE, None, None, None, None, v_len, v0_ok, u_len, winner, rule)
+    return _new(RState, (5, DONE, None, None, None, None, v_len, v0_ok, u_len, winner, rule))
+
+
+def _extend(st: RState, kid: tuple[int, int]) -> RState:
+    """The state after the builder appends ``kid``, a (label, id) pair."""
+    phase, _, _, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+    if phase == 1:
+        return _new(RState, (1, IDLE_B, kid[1], t, u0, a2, v_len, v0_ok, u_len, None, None))
+    if phase == 3:
+        if not v_len:
+            v0_ok = kid[0] == u0
+        return _new(RState, (3, IDLE_B, kid[1], t, u0, a2, v_len + 1, v0_ok, u_len, None, None))
+    return _phase4(IDLE_B, kid[1], v_len, v0_ok, u_len + 1)
 
 
 @dataclass(frozen=True)
 class ReductionGame:
     source: FiniteTree
-    initial = RState(1, CTRL, (), None, None, None, 0, None, 0)
+    initial = _new(RState, (1, CTRL, 0, None, None, None, 0, None, 0, None, None))
+
+    @cached_property
+    def kids(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each node's successors as (label, id) pairs, leftmost first, by id."""
+        ids = {node: i for i, node in enumerate(self.source.sorted_nodes)}
+        return tuple(tuple((kid[-1], ids[kid]) for kid in self.source.children(node)) for node in ids)
 
     def mover(self, st: RState) -> Player:
         who = _MOVER.get((st.phase, st.step))
@@ -152,53 +172,42 @@ class ReductionGame:
             return ()
         after_idle = _NEXT_AFTER_IDLE.get(step)
         if after_idle is not None:
-            return ((0, RState(phase, after_idle, cur, t, u0, a2, v_len, v0_ok, u_len)),)
-        tree = self.source
+            return ((0, _new(RState, (phase, after_idle, cur, t, u0, a2, v_len, v0_ok, u_len, None, None))),)
+        kids = self.kids
         if step == CTRL:
             if phase == 1:
                 end = _phase2_entry(cur)
             elif phase == 3:
-                end = _phase4(CTRL, t + (u0,) if u0 else None, v_len, v0_ok, 1)
+                # u starts at the child of t labelled u0, or off the tree
+                end = _phase4(CTRL, kids[t][kids[t][0][0] != u0][1] if u0 else None, v_len, v0_ok, 1)
             else:
                 end = _terminal(cur, v_len, v0_ok, u_len)
-            if cur is not None and tree.children(cur):
-                extend = RState(phase, IDLE_CTRL, cur, t, u0, a2, v_len, v0_ok, u_len)
+            if cur is not None and kids[cur]:
+                extend = _new(RState, (phase, IDLE_CTRL, cur, t, u0, a2, v_len, v0_ok, u_len, None, None))
                 return ((0, extend), (1, end))
             return ((1, end),)
         if step == MICRO_A:
             if phase == 2:
-                claim = (0, RState(2, IDLE_A, cur, t, u0, 0, v_len, v0_ok, u_len))
-                kids = tree.children(t)
-                if not kids:
+                # every phase-2 state is at t, with no u0, v or u yet
+                claim = (0, _new(RState, (2, IDLE_A, t, t, None, 0, 0, None, 0, None, None)))
+                if not kids[t]:
                     return (claim,)
-                left = kids[0][-1]
-                return (claim, (left, RState(2, IDLE_A, cur, t, u0, left, v_len, v0_ok, u_len)))
-            left = tree.children(cur)[0][-1]
-            return ((left, RState(phase, IDLE_A, cur, t, u0, a2, v_len, v0_ok, u_len)),)
+                left = kids[t][0][0]
+                return (claim, (left, _new(RState, (2, IDLE_A, t, t, None, left, 0, None, 0, None, None))))
+            left = kids[cur][0][0]
+            return ((left, _new(RState, (phase, IDLE_A, cur, t, u0, a2, v_len, v0_ok, u_len, None, None))),)
         # step == MICRO_B
         if phase == 2:
             if a2 == 0:
                 return ((0, _phase3_entry(t, 0)),)
-            kids = tree.children(t)
-            if len(kids) == 2:
-                right = kids[1][-1]
+            if len(kids[t]) == 2:
+                right = kids[t][1][0]
                 return ((0, _phase3_entry(t, a2)), (right, _phase3_entry(t, right)))
             return ((0, _phase3_entry(t, a2)),)
-        kids = tree.children(cur)
-        if len(kids) == 2:
-            return ((0, self._extend(st, kids[0])), (kids[1][-1], self._extend(st, kids[1])))
-        return ((0, self._extend(st, kids[0])),)
-
-    def _extend(self, st: RState, child: Seq) -> RState:
-        """The state after the builder appends ``child``'s label."""
-        phase, _, _, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
-        if phase == 1:
-            return RState(1, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len)
-        if phase == 3:
-            if not v_len:
-                v0_ok = child[-1] == u0
-            return RState(3, IDLE_B, child, t, u0, a2, v_len + 1, v0_ok, u_len)
-        return _phase4(IDLE_B, child, v_len, v0_ok, u_len + 1)
+        pairs = kids[cur]
+        if len(pairs) == 2:
+            return ((0, _extend(st, pairs[0])), (pairs[1][0], _extend(st, pairs[1])))
+        return ((0, _extend(st, pairs[0])),)
 
 
 def build_reduction_game(tree: FiniteTree) -> ReductionGame:
@@ -228,6 +237,7 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
     While a phase is still running its sequence is shown as grown to
     date.  Raises IllegalPosition naming the first offending ply.
     """
+    order = game.source.sorted_nodes
     st = game.initial
     out = Transcript()
     for ply, move in enumerate(position):
@@ -235,19 +245,16 @@ def decode(game: ReductionGame, position: Seq) -> Transcript:
         if nxt is None:
             raise IllegalPosition(ply)
         if nxt.phase >= 2 and out.t is None:
-            out.t = nxt.t
+            out.t = order[nxt.t]
         if nxt.phase >= 3 and out.u0 is None:
             out.u0 = nxt.u0
         if nxt.phase == 3:
-            out.v = nxt.cur[len(out.t) :]
-        if nxt.phase == 4:
-            if out.u_prime is None:
-                out.u_prime = ()
-            if st.phase == 4 and st.step == MICRO_B:
-                out.u_prime = out.u_prime + (nxt.cur[-1],)
+            out.v = order[nxt.cur][len(out.t) :]
+        if nxt.phase == 4:  # the node is t + u, if u is still in the tree
+            out.u_prime = () if nxt.cur is None else order[nxt.cur][len(out.t) + 1 :]
         st = nxt
     if st.phase == 1:
-        out.t = st.cur
+        out.t = order[st.cur]
     out.phase, out.step = st.phase, st.step
     if st.phase == 5:
         out.terminal, out.winner, out.rule = True, st.winner, st.rule
@@ -280,17 +287,17 @@ class BranchReport:
     fail_index: int | None
 
 
-def _query_u0(game: ReductionGame, policy: RegularStrategy, target: Seq) -> int:
-    """The answer the policy gives once player I has built ``target``: the
-    claim 0, or a successor's label, since only legal moves are followed."""
+def _query_u0(game: ReductionGame, policy: RegularStrategy, target: int) -> int:
+    """The answer the policy gives once player I has built node id ``target``:
+    the claim 0, or a successor's label, since only legal moves are followed."""
     st = _phase2_entry(target)
     for kind in ("answer", "confirmation"):
         move = policy.moves.get(st)
         if move is None:
-            raise StrategyNotWinning(f"no {kind} recorded after t={target!r}")
+            raise StrategyNotWinning(f"no {kind} recorded after t={game.source.sorted_nodes[target]!r}")
         st = step(game, st, move)
         if st is None:
-            raise StrategyNotWinning(f"illegal {kind} {move} after t={target!r}")
+            raise StrategyNotWinning(f"illegal {kind} {move} after t={game.source.sorted_nodes[target]!r}")
         if kind == "answer":
             st = step(game, st, 0)
     return st.u0
@@ -304,17 +311,17 @@ def extract_branch(tree: FiniteTree, policy: RegularStrategy) -> BranchReport:
     which f[:n] has no successor left to offer.
     """
     game = build_reduction_game(tree)
-    f: list[int] = []
+    node = 0  # the id of f[:n]
     fail_index: int | None = None
     for n in range(tree.height + 2):
-        answer = _query_u0(game, policy, tuple(f))
+        answer = _query_u0(game, policy, node)
         if answer == 0:
-            if tree.children(tuple(f)):
-                raise StrategyNotWinning(f"claimed no successor at {tuple(f)!r}, which has one")
+            if game.kids[node]:
+                raise StrategyNotWinning(f"claimed no successor at {tree.sorted_nodes[node]!r}, which has one")
             fail_index = n
             break
-        f.append(answer)
-    return BranchReport(tuple(f), fail_index)
+        node = dict(game.kids[node])[answer]
+    return BranchReport(tree.sorted_nodes[node], fail_index)
 
 
 def check_cardinality_bound(tree: FiniteTree, report: BranchReport) -> bool:
@@ -347,6 +354,7 @@ def scan_positions(game: ReductionGame) -> ScanStats:
     state machine dictates matches the mover that parity dictates.
     """
     transitions, mover = game.transitions, game.mover
+    movers = (Player.I, Player.II)  # the mover at each ply parity
     max_moves = 0
     # state -> (ply parity, paths from it, longest play from it), stored
     # once its successors are counted; the graph is acyclic, so a state
@@ -365,12 +373,13 @@ def scan_positions(game: ReductionGame) -> ScanStats:
             if not trans:
                 seen[st] = (parity, 1, 0)
                 continue
-            if mover(st) is not mover_at(parity):
+            if mover(st) is not movers[parity]:
                 raise ReductionError(f"mover parity broken at ply parity {parity}: {st!r}")
             if len(trans) > max_moves:
                 max_moves = len(trans)
             stack.append((st, parity, trans))
-            stack.extend([(nxt, 1 - parity, None) for _, nxt in trans])
+            for _, nxt in trans:
+                stack.append((nxt, 1 - parity, None))
         elif len(trans) == 1:  # a forced move, as at every idle step
             _, paths, longest = seen[trans[0][1]]
             seen[st] = (parity, paths + 1, longest + 1)
@@ -407,9 +416,10 @@ def realizable_claim_traces(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
         return induction(game, st, values, first_win) is Player.II
 
     solvable = wins(game.initial)
-    for node in tree.sorted_nodes:
-        answers = [(node[:i], node[i]) for i in range(len(node))] + [(node, 0)]
-        yield node, solvable and all(wins(_phase3_entry(t, a)) for t, a in answers)
+    path: list[int] = []  # the ids of the node's prefixes, itself last
+    for node_id, node in enumerate(tree.sorted_nodes):
+        path[len(node) :] = [node_id]
+        yield node, solvable and all(wins(_phase3_entry(t, a)) for t, a in zip(path, node + (0,)))
 
 
 def principal_play(game: ReductionGame, result: SolveResult) -> list[int]:

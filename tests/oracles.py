@@ -6,6 +6,8 @@ the tree rules checked in sorted order, a node line parsed part by part,
 a node-line file read with one full parse per line, the exit rule read two ways, a clopen payoff read by scanning every
 entry, the settling prefix of a play, the four terminal rules of the
 reduction game applied to decoded pieces, a play scored move by move,
+the reduction game over full node tuples (``SeqReductionGame``) and the
+map between its states and the library's preorder-id ones (``recode``),
 the reduction game's positions as an explicit tree, claim traces decided
 by re-solving a pinned game and again from the full walk's values, both
 players' restricted strategies enumerated as node sets, the restricted product as the deepest shared
@@ -38,6 +40,7 @@ from bcgames.lab import SplitMix64
 from bcgames.payoff import outcome_psi
 from bcgames.players import Player, mover_at
 from bcgames.reduction import (
+    _MOVER,
     _NEXT_AFTER_IDLE,
     CTRL,
     DONE,
@@ -51,8 +54,6 @@ from bcgames.reduction import (
     ReductionGame,
     RState,
     ScanStats,
-    _phase2_entry,
-    _phase3_entry,
     build_reduction_game,
 )
 from bcgames.solver import Game, SolveResult, SolverError, UndecidedGame, step
@@ -556,23 +557,23 @@ def encode_build_moves(game: ReductionGame, target: Seq) -> list[int]:
         nonlocal st
         nxt = step(game, st, move)
         if nxt is None:
-            raise ReductionError(f"move {move} is illegal in state {st!r}")
+            raise ReductionError(f"move {move} is illegal in state {recode(tree, st, to_ids=False)!r}")
         moves.append(move)
         st = nxt
 
     for element in target:
         push(0)
         push(0)
-        kids = tree.children(st.cur)
+        cur = recode(tree, st, to_ids=False).cur
+        kids = tree.children(cur)
         push(kids[0][-1])
         push(0)
-        kids = tree.children(st.cur)
         if element == kids[0][-1]:
             push(0)
         elif len(kids) == 2 and element == kids[1][-1]:
             push(element)
         else:
-            raise ReductionError(f"{element!r} does not label a successor of {st.cur!r}")
+            raise ReductionError(f"{element!r} does not label a successor of {cur!r}")
         push(0)
     push(1)
     return moves
@@ -590,9 +591,129 @@ def materialize_game_tree(game: ReductionGame) -> FiniteTree:
     return FiniteTree(frozenset(nodes))
 
 
+def recode(tree: FiniteTree, st: RState, to_ids: bool = True) -> RState:
+    """``st`` with ``cur`` and ``t`` mapped between the nodes of ``tree``
+    and their preorder ids in ``tree.sorted_nodes``: nodes to ids, as the
+    library's game holds them, or with ``to_ids=False`` ids to nodes, as
+    ``SeqReductionGame`` holds them.  None, off the tree, stays None."""
+    look = tree.sorted_nodes.index if to_ids else tree.sorted_nodes.__getitem__
+    cur, t = (x if x is None else look(x) for x in (st.cur, st.t))
+    return st._replace(cur=cur, t=t)
+
+
+def _phase2_entry(t: Seq) -> RState:
+    return RState(2, MICRO_A, t, t, None, None, 0, None, 0)
+
+
+def _phase3_entry(t: Seq, u0: int) -> RState:
+    return RState(3, CTRL, t, t, u0, None, 0, None, 0)
+
+
+def _phase4(step: str, cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+    """A phase-4 state in canonical form.
+
+    The terminal rules read only whether rule 2 is settled, whether
+    ``cur`` is None and whether ``v_len <= u_len``, and ``u_len`` only
+    grows.  So a settled state keeps no lengths, and an unsettled one
+    keeps only how far u is behind v, clamped at zero once u has caught
+    up; states that agree on these share their future."""
+    if v_len == 0 or v0_ok:
+        return RState(4, step, cur, None, None, None, 0, None, 0)
+    return RState(4, step, cur, None, None, None, max(v_len - u_len, 0) + 1, False, 1)
+
+
+def _terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) -> RState:
+    if v_len == 0 or v0_ok:
+        winner, rule = Player.II, "rule2"
+    elif cur is None:
+        winner, rule = Player.I, "rule3"
+    elif v_len <= u_len:
+        winner, rule = Player.II, "rule4"
+    else:
+        winner, rule = Player.I, "rule4"
+    return RState(5, DONE, None, None, None, None, v_len, v0_ok, u_len, winner, rule)
+
+
+@dataclass(frozen=True)
+class SeqReductionGame:
+    """The reduction game with ``cur`` and ``t`` held as full node tuples
+    and every state built by the named tuple's constructor: the reference
+    the library's preorder-id game is compared against."""
+
+    source: FiniteTree
+    initial = RState(1, CTRL, (), None, None, None, 0, None, 0)
+
+    def mover(self, st: RState) -> Player:
+        who = _MOVER.get((st.phase, st.step))
+        if who is None:
+            raise NotTerminal("terminal positions have no mover")
+        return who
+
+    def winner(self, st: RState) -> Player:
+        if st.phase != 5:
+            raise NotTerminal("position is not terminal")
+        return st.winner
+
+    def transitions(self, st: RState) -> tuple[tuple[int, RState], ...]:
+        """Legal moves with their successor states, ascending by move."""
+        phase, step, cur, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+        if phase == 5:
+            return ()
+        after_idle = _NEXT_AFTER_IDLE.get(step)
+        if after_idle is not None:
+            return ((0, RState(phase, after_idle, cur, t, u0, a2, v_len, v0_ok, u_len)),)
+        tree = self.source
+        if step == CTRL:
+            if phase == 1:
+                end = _phase2_entry(cur)
+            elif phase == 3:
+                end = _phase4(CTRL, t + (u0,) if u0 else None, v_len, v0_ok, 1)
+            else:
+                end = _terminal(cur, v_len, v0_ok, u_len)
+            if cur is not None and tree.children(cur):
+                extend = RState(phase, IDLE_CTRL, cur, t, u0, a2, v_len, v0_ok, u_len)
+                return ((0, extend), (1, end))
+            return ((1, end),)
+        if step == MICRO_A:
+            if phase == 2:
+                claim = (0, RState(2, IDLE_A, cur, t, u0, 0, v_len, v0_ok, u_len))
+                kids = tree.children(t)
+                if not kids:
+                    return (claim,)
+                left = kids[0][-1]
+                return (claim, (left, RState(2, IDLE_A, cur, t, u0, left, v_len, v0_ok, u_len)))
+            left = tree.children(cur)[0][-1]
+            return ((left, RState(phase, IDLE_A, cur, t, u0, a2, v_len, v0_ok, u_len)),)
+        # step == MICRO_B
+        if phase == 2:
+            if a2 == 0:
+                return ((0, _phase3_entry(t, 0)),)
+            kids = tree.children(t)
+            if len(kids) == 2:
+                right = kids[1][-1]
+                return ((0, _phase3_entry(t, a2)), (right, _phase3_entry(t, right)))
+            return ((0, _phase3_entry(t, a2)),)
+        kids = tree.children(cur)
+        if len(kids) == 2:
+            return ((0, self._extend(st, kids[0])), (kids[1][-1], self._extend(st, kids[1])))
+        return ((0, self._extend(st, kids[0])),)
+
+    def _extend(self, st: RState, child: Seq) -> RState:
+        """The state after the builder appends ``child``'s label."""
+        phase, _, _, t, u0, a2, v_len, v0_ok, u_len, _, _ = st
+        if phase == 1:
+            return RState(1, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len)
+        if phase == 3:
+            if not v_len:
+                v0_ok = child[-1] == u0
+            return RState(3, IDLE_B, child, t, u0, a2, v_len + 1, v0_ok, u_len)
+        return _phase4(IDLE_B, child, v_len, v0_ok, u_len + 1)
+
+
 def phase2_pins(tree: FiniteTree, t: Seq, answer: int) -> dict[RState, int]:
     """Pin player II's two phase-2 micro moves at ``t`` to produce
-    ``answer`` (0 for the claim)."""
+    ``answer`` (0 for the claim), on the library's game, whose states
+    hold preorder ids."""
     kids = tree.children(t)
     if answer == 0:
         a_move, b_move = 0, 0
@@ -604,11 +725,11 @@ def phase2_pins(tree: FiniteTree, t: Seq, answer: int) -> dict[RState, int]:
         raise ReductionError(f"{answer} is not an available answer at {t!r}")
     a_state = RState(2, MICRO_A, t, t, None, None, 0, None, 0)
     b_state = RState(2, MICRO_B, t, t, None, a_move, 0, None, 0)
-    return {a_state: a_move, b_state: b_move}
+    return {recode(tree, a_state): a_move, recode(tree, b_state): b_move}
 
 
 @dataclass(frozen=True)
-class PinnedGame(ReductionGame):
+class PinnedGame(SeqReductionGame):
     """The reduction game with some of its states restricted to one move."""
 
     pins: Mapping[RState, int] = field(default_factory=dict)
@@ -629,7 +750,7 @@ def realizable_by_pinning(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
         for i in range(len(node)):
             pins.update(phase2_pins(tree, node[:i], node[i]))
         pins.update(phase2_pins(tree, node, 0))
-        game = PinnedGame(tree, pins)
+        game = PinnedGame(tree, {recode(tree, st, to_ids=False): move for st, move in pins.items()})
         values, _ = retrograde(game)
         yield node, values[game.initial] is Player.II
 
@@ -642,7 +763,7 @@ def claim_traces_by_full_walk(tree: FiniteTree) -> Iterator[tuple[Seq, bool]]:
     wins = values[ReductionGame.initial] is Player.II
     for node in tree.sorted_nodes:
         answers = [(node[:i], node[i]) for i in range(len(node))] + [(node, 0)]
-        yield node, wins and all(values[_phase3_entry(t, a)] is Player.II for t, a in answers)
+        yield node, wins and all(values[recode(tree, _phase3_entry(t, a))] is Player.II for t, a in answers)
 
 
 def _full_phase4_entry(t: Seq, u0: int, v_len: int, v0_ok: bool | None) -> RState:
@@ -663,7 +784,7 @@ def _full_terminal(cur: Seq | None, v_len: int, v0_ok: bool | None, u_len: int) 
 
 
 @dataclass(frozen=True)
-class FullReductionGame(ReductionGame):
+class FullReductionGame(SeqReductionGame):
     """The reduction game with phase 4 unquotiented: every state keeps
     both lengths, |v| and |u|, so each pair of lengths is its own state."""
 
@@ -722,10 +843,11 @@ class FullReductionGame(ReductionGame):
         return RState(4, IDLE_B, child, t, u0, a2, v_len, v0_ok, u_len + 1)
 
 
-def quotient_state(st: RState) -> RState:
+def quotient_state(tree: FiniteTree, st: RState) -> RState:
     """The state of the quotiented game that a full state stands for:
     from phase 4 on, a play whose v is empty or copies u0 is settled and
     keeps no lengths, any other keeps only how far u is behind v."""
+    st = recode(tree, st)
     if st.phase < 4:
         return st
     if st.v_len == 0 or st.v0_ok:

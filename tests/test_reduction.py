@@ -31,6 +31,7 @@ from bcgames.strategy import RegularStrategy
 from bcgames.trees import enumerate_trees, subtree, validate_tree
 from oracles import (
     FullReductionGame,
+    SeqReductionGame,
     apply_rules,
     claim_traces_by_full_walk,
     deepest_branch,
@@ -40,6 +41,7 @@ from oracles import (
     phase2_pins,
     quotient_state,
     realizable_by_pinning,
+    recode,
     relabel,
     retrograde,
     scan_by_walk,
@@ -240,7 +242,7 @@ def test_extract_branch_rejects_losing_policy():
         extract_branch(T_PATH2, bad)
     # a policy that answers off the tree, or not at all
     moves = result.strategy.moves
-    entry = reduction._phase2_entry(())
+    entry = reduction._phase2_entry(0)  # t = (), the root, whose preorder id is 0
     off_tree = RegularStrategy(Player.II, {**moves, entry: 5})
     with pytest.raises(StrategyNotWinning, match=r"illegal answer 5 after t=\(\)"):
         extract_branch(T_PATH2, off_tree)
@@ -254,7 +256,7 @@ def test_certificate_walk_reports_an_owner_state_without_a_legal_move():
     # which player I reaches by ending phase 1 at once
     tree = validate_tree([(), (1,), (1, 3), (2,)])
     moves = dict(solve_reduction(tree).strategy.moves)
-    del moves[reduction._phase2_entry(())]
+    del moves[reduction._phase2_entry(0)]  # t = (), the root
     policy = RegularStrategy(Player.II, moves)
     assert verify_winning_policy(build_reduction_game(tree), policy) == [1]
 
@@ -324,6 +326,27 @@ def test_first_win_search_matches_the_full_walk():
         assert_matches_full_walk(game, solve_graph(game))
 
 
+def test_id_states_match_the_sequence_game():
+    # the library's states hold preorder ids where the reference's hold
+    # node tuples; mapped back through the preorder they are the same game
+    rng = SplitMix64(0x4E20)
+    shapes = list(enumerate_trees(8))
+    assert len(shapes) == 216
+    trees = list(enumerate_trees(8, zero_free=True))
+    trees += [relabel(shape, rng) for shape in shapes]
+    trees += [tall_tree(24), tall_tree(60), comb(16), comb(40)]
+    for tree in trees:
+        game, reference = build_reduction_game(tree), SeqReductionGame(tree)
+        result, expected = solve_reduction(tree), solve_graph(reference)
+        assert (result.winner, result.explored) == (expected.winner, expected.explored)
+        assert scan_positions(game) == scan_positions(reference)
+        moves = result.strategy.moves.items()
+        policy = [(recode(tree, st, to_ids=False), move) for st, move in moves]
+        assert policy == list(expected.strategy.moves.items())
+        assert verify_winning_policy(game, result.strategy) is None
+        assert verify_winning_policy(reference, expected.strategy) is None
+
+
 def test_first_win_search_skips_states_on_a_comb():
     assert solve_reduction(comb(16)).explored == 1950
     assert len(retrograde(ReductionGame(comb(16)))[0]) == 4003
@@ -378,9 +401,9 @@ def test_quotient_gives_every_full_state_its_value():
     for tree in ZERO_FREE_7:
         full, _ = retrograde(FullReductionGame(tree))
         quotient, _ = retrograde(ReductionGame(tree))
-        assert {quotient_state(st) for st in full} == set(quotient)
+        assert {quotient_state(tree, st) for st in full} == set(quotient)
         for st, value in full.items():
-            assert quotient[quotient_state(st)] is value
+            assert quotient[quotient_state(tree, st)] is value
         merged += len(full) - len(quotient)
     assert merged
 
@@ -389,7 +412,7 @@ def test_quotient_policy_certified_on_full_game():
     for tree in ZERO_FREE_7:
         policy = solve_reduction(tree).strategy
         lifted = counterplay(
-            FullReductionGame(tree), policy.owner, lambda st: policy.moves.get(quotient_state(st))
+            FullReductionGame(tree), policy.owner, lambda st: policy.moves.get(quotient_state(tree, st))
         )
         assert lifted is None
 
@@ -408,7 +431,8 @@ def test_decode_grows_u_prime_with_the_current_node():
             st, pos = stack.pop()
             if st.phase == 4 and st.cur is not None:
                 transcript = decode(game, pos)
-                assert transcript.t + (transcript.u0,) + transcript.u_prime == st.cur
+                u_node = recode(tree, st, to_ids=False).cur
+                assert transcript.t + (transcript.u0,) + transcript.u_prime == u_node
             stack.extend((nxt, pos + (mv,)) for mv, nxt in game.transitions(st))
 
 
@@ -508,7 +532,8 @@ def test_phase3_entry_values_follow_the_heights():
             values, _ = retrograde(build_reduction_game(tree))
             for st, won in values.items():
                 if st == reduction._phase3_entry(st.t, st.u0):
-                    assert (won is Player.II) == (st.u0 in answers[st.t]), (tree, st)
+                    t = recode(tree, st, to_ids=False).t
+                    assert (won is Player.II) == (st.u0 in answers[t]), (tree, st)
                     entries += 1
         assert entries == expected
 
